@@ -22,8 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._parallel import map_deterministic
-from .complexes import WeightedComplex, induced_subcomplex
+from .complexes import WeightedComplex
 from .operators import (
     Cochain,
     coboundary_apply,
@@ -38,11 +37,11 @@ __all__ = [
     "EnergyProfile",
     "make_ball_exhaustion",
     "make_plateau_cutoff",
+    "budget_profile",
     "make_cutoff_system",
     "energy_functional",
     "check_global_chi",
     "check_level_chi",
-    "restrict_to_region",
     "coupling_block",
     "CouplingReport",
     "leibniz_remainder",
@@ -74,12 +73,6 @@ class Exhaustion:
 
     def set_at(self, k: int) -> set:
         return {v for v, d in self.dist.items() if d <= k}
-
-    def boundary_distance(self, v, k: int) -> float:
-        d = self.dist.get(v)
-        if d is None:
-            return math.inf
-        return max(0, d - k)
 
 
 def make_ball_exhaustion(cx: WeightedComplex, roots: Iterable, k_max: int) -> Exhaustion:
@@ -116,27 +109,39 @@ def make_plateau_cutoff(exh: Exhaustion, k: int, ramp) -> dict:
                 chi[v] = min(1.0, val)
     elif kind == "divergence":
         _, xi_fn, horizon = ramp
-        if horizon <= k:
-            raise ValueError("horizon must exceed the plateau index")
-        xi_vals = [xi_fn(j) for j in range(k, horizon + 1)]
-        if any(x <= 0 for x in xi_vals):
-            raise ValueError("growth must be positive across the ramp budget")
-        steps = [1.0 / math.sqrt(x) for x in xi_vals]
-        tail = math.fsum(steps)
-        depth_max = max(exh.dist.values(), default=0)
-        level_value = {}
-        for ell in range(depth_max + 1):
-            if ell <= k:
-                level_value[ell] = 1.0
-            else:
-                spent = math.fsum(steps[: min(ell - k, len(steps))])
-                level_value[ell] = max(0.0, 1.0 - spent / tail)
+        level_value, _ = budget_profile(xi_fn, k, horizon, max(exh.dist.values(), default=0))
         for v, d in exh.dist.items():
             if level_value[d] > 0:
                 chi[v] = level_value[d]
     else:
         raise ValueError(f"unknown ramp kind {kind!r}")
     return chi
+
+
+def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[dict, float]:
+    """Layer values of the 1/sqrt(xi)-budgeted plateau cut-off.
+
+    The value is 1 on layers <= N and, on layer l > N,
+    max(0, 1 - sum_{j=N}^{l-1} s_j / sum_{j=N}^{horizon} s_j) with
+    s_j = 1/sqrt(xi(j)).  Returns ({layer: value} for layers 0..top, tail sum).
+    """
+    if horizon <= N:
+        raise ValueError("horizon must exceed the plateau index")
+    steps = []
+    for j in range(N, horizon + 1):
+        x = float(xi_fn(j))
+        if x <= 0:
+            raise ValueError(f"xi({j}) must be positive for the cut-off budget")
+        steps.append(1.0 / math.sqrt(x))
+    tail = math.fsum(steps)
+    profile = {}
+    for ell in range(top + 1):
+        if ell <= N:
+            profile[ell] = 1.0
+        else:
+            spent = math.fsum(steps[: min(ell - N, len(steps))])
+            profile[ell] = max(0.0, 1.0 - spent / tail)
+    return profile, tail
 
 
 @dataclass
@@ -159,7 +164,10 @@ def make_cutoff_system(cx: WeightedComplex, exh: Exhaustion, ks: Sequence[int],
                        level: int | None = None) -> CutoffSystem:
     ks = tuple(ks)
     chis = {k: make_plateau_cutoff(exh, k, ramp) for k in ks}
-    ramp_desc = (ramp[0],) + tuple(x if isinstance(x, (int, float)) else repr(x) for x in ramp[1:])
+    # a callable's repr holds a memory address, so it is recorded as a fixed token
+    ramp_desc = (ramp[0],) + tuple(
+        "<callable>" if callable(x) else (x if isinstance(x, (int, float)) else repr(x))
+        for x in ramp[1:])
     return CutoffSystem(exhaustion=exh, ks=ks, chis=chis, ramp=ramp_desc, mode=mode, level=level)
 
 
@@ -179,21 +187,25 @@ def energy_functional(cx: WeightedComplex, chi: Mapping, degree: int):
     tables = cx.simplices[base]
     best = 0.0
     witness = None
-    get = chi.get
     for j, exts in enumerate(cx.extensions[base]):
         if not exts:
             continue
         s = tables[j]
-        bar = math.fsum(get(v, 0.0) for v in s) / len(s)
-        acc = 0.0
-        for x, t in exts:
-            diff = get(x, 0.0) - bar
-            acc += m_up[t] * diff * diff
-        val = acc / m_dn[j]
+        val = _local_energy(chi.get, s, exts, m_up) / m_dn[j]
         if val > best:
             best = val
             witness = s
     return best, witness
+
+
+def _local_energy(get, s: tuple, exts, m_up: np.ndarray) -> float:
+    """sum over coface extensions s+{x} of m_up(s+{x}) * |chi(x) - mean(chi on s)|^2."""
+    bar = math.fsum(get(v, 0.0) for v in s) / len(s)
+    acc = 0.0
+    for x, t in exts:
+        diff = get(x, 0.0) - bar
+        acc += m_up[t] * diff * diff
+    return acc
 
 
 def classify_entries(entries: Sequence[float], atol: float = VERDICT_ATOL,
@@ -258,17 +270,10 @@ def _profile(cx: WeightedComplex, cutoffs: CutoffSystem, degrees: Sequence[int],
     degrees = tuple(degrees)
     ks = cutoffs.ks
 
-    def one(pair):
-        d, k = pair
-        if d == 0:
-            return 0.0, None  # vacuous: no lower structure to normalize by
-        return energy_functional(cx, cutoffs.chi(k), d)
-
-    jobs = [(d, k) for d in degrees for k in ks]
-    results = map_deterministic(one, jobs)
     table, witnesses = [], []
-    for r, d in enumerate(degrees):
-        row = results[r * len(ks):(r + 1) * len(ks)]
+    for d in degrees:
+        # degree 0 is vacuous: no lower structure to normalize by
+        row = [energy_functional(cx, cutoffs.chi(k), d) if d else (0.0, None) for k in ks]
         table.append([v for v, _ in row])
         witnesses.append([w for _, w in row])
     row_verdicts = {d: classify_entries(table[r]) for r, d in enumerate(degrees)}
@@ -311,11 +316,6 @@ def check_level_chi(cx: WeightedComplex, cutoffs: CutoffSystem, level: int) -> E
     if not 0 <= level <= cx.max_degree:
         raise ValueError(f"level {level} out of range")
     return _profile(cx, cutoffs, (level,), f"level:{level}")
-
-
-def restrict_to_region(cx: WeightedComplex, region: Iterable) -> WeightedComplex:
-    """Induced subcomplex keeping only simplices with all vertices in the region."""
-    return induced_subcomplex(cx, region)
 
 
 @dataclass
@@ -429,7 +429,6 @@ def leibniz_remainder(cx: WeightedComplex, chi: Mapping, f: Cochain) -> LeibnizR
         R_delta = Cochain(i - 1, codifferential_apply(cx, scaled).values - avg_dn * codifferential_apply(cx, f).values)
         norm_delta = norm(cx, i - 1, R_delta.values)
 
-    get = chi.get
     bound = 0.0
     if i < cx.max_degree:
         m_up = cx.weights[i + 1]
@@ -437,13 +436,7 @@ def leibniz_remainder(cx: WeightedComplex, chi: Mapping, f: Cochain) -> LeibnizR
             fj = f.values[j]
             if fj == 0 or not exts:
                 continue
-            s = cx.simplices[i][j]
-            bar = math.fsum(get(v, 0.0) for v in s) / len(s)
-            e = 0.0
-            for x, t in exts:
-                diff = get(x, 0.0) - bar
-                e += m_up[t] * diff * diff
-            bound += abs(fj) ** 2 * e
+            bound += abs(fj) ** 2 * _local_energy(chi.get, cx.simplices[i][j], exts, m_up)
     smallest_C = None
     if bound > 0:
         smallest_C = norm_d ** 2 / bound

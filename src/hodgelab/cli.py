@@ -1,8 +1,8 @@
 """Command-line interface: generation, assembly, energy checks, divergence
 reports and spectral sweeps, emitted as reproducible JSON/CSV reports.
 
-Every report embeds the run configuration, tool version and tolerances, and
-identical configurations produce byte-identical output.  Verdicts are data:
+Every report embeds the run configuration and tool version, and identical
+configurations produce byte-identical output.  Verdicts are data:
 only malformed input sets a nonzero exit code.
 """
 
@@ -19,7 +19,7 @@ from . import chi as chi_mod
 from . import divergence as div_mod
 from . import generators as gen
 from . import spectral
-from .complexes import complex_from_json, complex_to_json
+from .complexes import complex_from_json, complex_to_json, induced_subcomplex
 from .operators import assemble_block, export_coordinate_text
 
 __all__ = ["main", "build_parser"]
@@ -46,11 +46,6 @@ def _emit(args, result: dict, stream=None) -> None:
     report = {
         "version": __version__,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
-        "tolerances": {
-            "tol_exact": args.tol_exact,
-            "tol_accum": args.tol_accum,
-            "kernel_thresh": args.kernel_thresh,
-        },
         "result": result,
     }
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
@@ -137,7 +132,7 @@ def cmd_chi(args) -> int:
         with open(args.region_file) as fh:
             region = {_decode(v) for v in json.load(fh)}
         coupling = chi_mod.coupling_block(cx, region)
-        cx = chi_mod.restrict_to_region(cx, region)
+        cx = induced_subcomplex(cx, region)
         coupling_info = {
             "rank": coupling.rank,
             "sigma_max": coupling.sigma_max,
@@ -161,7 +156,6 @@ def cmd_chi(args) -> int:
             raise ValueError("growth vanishes on an interior layer; "
                              "no budget-weighted ramp exists (use --ramp linear)")
         ramp = ("divergence", div_mod._as_xi_fn(xi_seq), args.horizon)
-    mode = "global" if args.mode == "region" else args.mode
     cutoffs = chi_mod.make_cutoff_system(cx, exh, ks, ramp, mode="global")
     if args.mode == "level":
         if args.level is None:
@@ -181,7 +175,7 @@ def cmd_divergence(args) -> int:
     result: dict = {}
     if args.xi:
         xi_fn = gen.parse_offspring(args.xi)
-        psums = div_mod.divergence_partial_sums(lambda k: xi_fn(k), ks)
+        psums = div_mod.divergence_partial_sums(xi_fn, ks)
         result["xi_model"] = args.xi
         result["breakdown"] = None
     else:
@@ -202,21 +196,12 @@ def cmd_divergence(args) -> int:
     result.update(psums.to_json())
     if args.cutoff_n is not None:
         if args.xi:
-            synth_layers = div_mod.LayerDecomposition({}, origin="synthetic")
-            profile = {}
-            xi_fn = gen.parse_offspring(args.xi)
-            steps = [1.0 / (xi_fn(j) ** 0.5) for j in range(args.cutoff_n, args.horizon + 1)]
-            tail = sum(steps)
-            for ell in range(max(ks) + 1):
-                spent = sum(steps[: max(0, ell - args.cutoff_n)])
-                profile[str(ell)] = 1.0 if ell <= args.cutoff_n else max(0.0, 1.0 - spent / tail)
-            result["cutoff_profiles"] = {str(args.cutoff_n): profile}
+            profile, _ = chi_mod.budget_profile(xi_fn, args.cutoff_n, args.horizon, max(ks))
         else:
-            achi, info = div_mod.divergence_cutoffs(
+            _, info = div_mod.divergence_cutoffs(
                 layers, [xi_seq.get(k) for k in range(max(ks) + 1)], args.cutoff_n, args.horizon)
-            result["cutoff_profiles"] = {
-                str(args.cutoff_n): {str(l): v for l, v in info["layer_profile"].items()}
-            }
+            profile = info["layer_profile"]
+        result["cutoff_profiles"] = {str(args.cutoff_n): {str(l): v for l, v in profile.items()}}
     _emit(args, result)
     return 0
 
@@ -286,11 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--output")
+
+    def spectral_common(sp):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol-exact", dest="tol_exact", type=float, default=1e-12)
-        sp.add_argument("--tol-accum", dest="tol_accum", type=float, default=1e-10)
-        sp.add_argument("--kernel-thresh", dest="kernel_thresh", type=float, default=1e-8)
 
     g = sub.add_parser("generate", help="emit a complex description JSON")
     common(g)
@@ -346,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--degree", type=int, required=True)
     s.add_argument("--how-many", dest="how_many", type=int, default=6)
     s.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
+    spectral_common(s)
     s.set_defaults(func=cmd_spectrum)
 
     h = sub.add_parser("hodge", help="orthogonal splitting at one degree")
@@ -353,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--input", required=True)
     h.add_argument("--degree", type=int, required=True)
     h.add_argument("--export-basis", dest="export_basis")
+    h.add_argument("--kernel-thresh", dest="kernel_thresh", type=float,
+                   default=spectral.KERNEL_THRESH)
     h.set_defaults(func=cmd_hodge)
 
     w = sub.add_parser("sweep", help="depth-indexed spectral sweep of a growth family")
@@ -362,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--depths", default="4..10")
     w.add_argument("--tet-parity", dest="tet_parity", type=int, default=0)
     w.add_argument("--how-many", dest="how_many", type=int, default=4)
+    spectral_common(w)
     w.set_defaults(func=cmd_sweep)
 
     return p

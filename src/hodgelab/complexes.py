@@ -70,7 +70,10 @@ class WeightedGraph:
     """
 
     def __init__(self, m0: Mapping[Vertex, float], m1: Mapping[tuple, float], allow_loops: bool = False):
-        self.vertices = sorted(m0)
+        try:
+            self.vertices = sorted(m0)
+        except TypeError:
+            raise ValueError("vertex ids must be mutually comparable (e.g. not mixed int and str)") from None
         self.m0 = {}
         for v, w in m0.items():
             w = float(w)
@@ -317,6 +320,7 @@ def drop_simplices(cx: WeightedComplex, degree: int, keep: Callable[[tuple], boo
     """New complex without the degree-``degree`` simplices failing ``keep``.
 
     Cofaces of dropped simplices are dropped as well, preserving face closure.
+    Dropping vertices or edges rebuilds the graph from the ones kept.
     """
     dropped = {s for s in cx.simplices[degree] if not keep(s)}
     tables, weights = [], []
@@ -333,7 +337,11 @@ def drop_simplices(cx: WeightedComplex, degree: int, keep: Callable[[tuple], boo
         ]
         tables.append([s for s, _ in pairs])
         weights.append(np.array([w for _, w in pairs], dtype=float))
-    return WeightedComplex(graph=cx.graph, max_degree=cx.max_degree,
+    graph = cx.graph
+    if degree <= 1:
+        graph = WeightedGraph({v: graph.m0[v] for (v,) in tables[0]},
+                              {e: graph.m1[e] for e in tables[1]})
+    return WeightedComplex(graph=graph, max_degree=cx.max_degree,
                            simplices=tables, weights=weights, meta=dict(cx.meta))
 
 
@@ -399,7 +407,7 @@ def complex_from_json(doc: dict) -> WeightedComplex:
 
     Explicit per-degree weight lists define that degree's simplices exactly;
     degrees without a list default to weight 1 on every clique whose faces
-    are present.
+    are present.  The description's ``meta`` is kept.
     """
     m0 = {_decode_vertex(item["id"]): float(item["m0"]) for item in doc["vertices"]}
     m1 = {
@@ -414,23 +422,21 @@ def complex_from_json(doc: dict) -> WeightedComplex:
         for k, lst in (doc.get("weights") or {}).items()
     }
 
+    cx = build_clique_complex(graph, n)
     if rule_doc and rule_doc.get("kind") == "radial":
         from .generators import radial_weighting  # deferred; generators imports this module
 
-        cx = build_clique_complex(graph, n)
         base = {_decode_vertex(v) for v in rule_doc["base"]}
-        return radial_weighting(cx, base, float(rule_doc["alpha"]))
-
-    cx = build_clique_complex(graph, n)
-    if not explicit:
-        return cx
-    for degree in sorted(explicit):
-        table = explicit[degree]
-        unknown = set(table) - set(cx.simplices[degree])
-        if unknown:
-            raise ValueError(f"degree-{degree} weights reference non-cliques: {sorted(unknown)[:3]!r}")
-        cx = drop_simplices(cx, degree, lambda s, t=table: s in t)
-        w = cx.weights[degree]
-        for j, s in enumerate(cx.simplices[degree]):
-            w[j] = table[s]
+        cx = radial_weighting(cx, base, float(rule_doc["alpha"]))
+    else:
+        for degree in sorted(explicit):
+            table = explicit[degree]
+            unknown = set(table) - set(cx.simplices[degree])
+            if unknown:
+                raise ValueError(f"degree-{degree} weights reference non-cliques: {sorted(unknown)[:3]!r}")
+            cx = drop_simplices(cx, degree, lambda s, t=table: s in t)
+            w = cx.weights[degree]
+            for j, s in enumerate(cx.simplices[degree]):
+                w[j] = table[s]
+    cx.meta.update(doc.get("meta") or {})
     return cx

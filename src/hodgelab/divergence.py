@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chi import leibniz_remainder
+from .chi import budget_profile, leibniz_remainder
 from .complexes import WeightedComplex
 from .operators import norm
 
@@ -253,30 +253,13 @@ def _classify_partial_sums(ks, partials):
 
 
 def divergence_cutoffs(layers: LayerDecomposition, xi, N: int, horizon: int):
-    """Layer-constant plateau cut-off with 1/sqrt(xi)-budgeted decrements.
+    """Layer-constant plateau cut-off with 1/sqrt(xi)-budgeted decrements,
+    the layer values of :func:`hodgelab.chi.budget_profile`.
 
-    chi = 1 on layers <= N; on layer l > N it is
-    max(0, 1 - sum_{j=N}^{l-1} s_j / sum_{j=N}^{horizon} s_j), s_j = 1/sqrt(xi(j)).
     Returns (vertex_chi, info) with the layer profile and tail bookkeeping.
     """
-    if horizon <= N:
-        raise ValueError("horizon must exceed N")
     fn = _as_xi_fn(xi)
-    steps = []
-    for j in range(N, horizon + 1):
-        x = float(fn(j))
-        if x <= 0:
-            raise ValueError(f"xi({j}) must be positive for the cut-off budget")
-        steps.append(1.0 / math.sqrt(x))
-    tail = math.fsum(steps)
-    top = layers.num_layers() - 1
-    profile = {}
-    for ell in range(top + 1):
-        if ell <= N:
-            profile[ell] = 1.0
-        else:
-            spent = math.fsum(steps[: min(ell - N, len(steps))])
-            profile[ell] = max(0.0, 1.0 - spent / tail)
+    profile, tail = budget_profile(fn, N, horizon, layers.num_layers() - 1)
     chi = {v: profile[layers.layer_of[v]] for v in layers.layer_of
            if profile[layers.layer_of[v]] > 0}
     info = {

@@ -215,20 +215,23 @@ def parse_offspring(spec) -> Callable[[int], int]:
     return lambda n: int(eval(code, {"__builtins__": {}}, {"n": n}))
 
 
-def offspring_tree_family(off_spec, depth: int, tet_parity: int = 0) -> WeightedComplex:
-    """Canonical growth families: the root keeps 2 children when the formula
-    gives off(0) = 0 (the base construction is a binary tree)."""
+def _family_offspring(off_spec) -> Callable[[int], int]:
+    """Offspring of the canonical growth families: the root keeps 2 children
+    when the formula gives off(0) = 0 (the base construction is a binary tree)."""
     base = parse_offspring(off_spec)
-    off = lambda n: 2 if n == 0 and base(0) == 0 else base(n)
-    cx = gen_offspring_tree(depth, off, tet_parity)
+    return lambda n: 2 if n == 0 and base(0) == 0 else base(n)
+
+
+def offspring_tree_family(off_spec, depth: int, tet_parity: int = 0) -> WeightedComplex:
+    """Canonical growth family of ``gen_offspring_tree`` for a formula in n."""
+    cx = gen_offspring_tree(depth, _family_offspring(off_spec), tet_parity)
     cx.meta["off"] = str(off_spec)
     return cx
 
 
 def estimate_offspring_tree_size(off_spec, depth: int, tet_parity: int = 0) -> int:
     """Total simplex count of offspring_tree_family without building it."""
-    base = parse_offspring(off_spec)
-    off = lambda n: 2 if n == 0 and base(0) == 0 else base(n)
+    off = _family_offspring(off_spec)
     widths = [1]
     for level in range(depth):
         w = widths[level] * int(off(level))

@@ -105,14 +105,7 @@ def coboundary_apply(cx: WeightedComplex, f: Cochain) -> Cochain:
     _check_degree(cx, f, i)
     if i >= cx.max_degree:
         raise ValueError(f"no degree {i + 1} in a max-degree-{cx.max_degree} complex")
-    out = np.zeros(cx.size(i + 1), dtype=f.values.dtype)
-    vals = f.values
-    for t, row in enumerate(cx.faces[i + 1]):
-        acc = 0.0
-        for l, s in row:
-            acc = acc + (vals[s] if l % 2 == 0 else -vals[s])
-        out[t] = acc
-    return Cochain(i + 1, out)
+    return Cochain(i + 1, coboundary_matrix(cx, i) @ f.values)
 
 
 def codifferential_apply(cx: WeightedComplex, g: Cochain) -> Cochain:
@@ -126,19 +119,8 @@ def codifferential_apply(cx: WeightedComplex, g: Cochain) -> Cochain:
     _check_degree(cx, g, j)
     if j < 1:
         raise ValueError("codifferential undefined at degree 0")
-    out = np.zeros(cx.size(j - 1), dtype=g.values.dtype)
-    vals = g.values
-    m_up = cx.weights[j]
-    m_dn = cx.weights[j - 1]
-    upper = cx.simplices[j]
-    for s_idx, exts in enumerate(cx.extensions[j - 1]):
-        acc = 0.0
-        for x, t in exts:
-            l = upper[t].index(x)
-            term = m_up[t] * vals[t]
-            acc = acc + (term if l % 2 == 0 else -term)
-        out[s_idx] = acc / m_dn[s_idx]
-    return Cochain(j - 1, out)
+    d = coboundary_matrix(cx, j - 1)
+    return Cochain(j - 1, (d.T @ (cx.weights[j] * g.values)) / cx.weights[j - 1])
 
 
 def gauss_bonnet_apply(cx: WeightedComplex, F: tuple) -> tuple:

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 from .complexes import WeightedComplex, reweighted
 from .divergence import divergence_partial_sums
 from .generators import estimate_offspring_tree_size, offspring_tree_family, parse_offspring
-from .operators import symmetrized_laplacian
+from .operators import _scaled_coboundary, symmetrized_laplacian
 
 __all__ = [
     "SpectrumReport",
@@ -66,6 +66,11 @@ class SpectrumReport:
         }
 
 
+def _check_degree(cx: WeightedComplex, degree: int) -> None:
+    if not 0 <= degree <= cx.max_degree:
+        raise ValueError(f"degree {degree} out of range 0..{cx.max_degree}")
+
+
 def _group_multiplicities(vals, tol=1e-8):
     eigenvalues, mult = [], []
     for v in vals:
@@ -80,6 +85,7 @@ def _group_multiplicities(vals, tol=1e-8):
 def spectrum(cx: WeightedComplex, degree: int, how_many: int = 6,
              method: str = "auto", seed: int = 0) -> SpectrumReport:
     """Smallest eigenvalues of the degree block, dense below the cutover."""
+    _check_degree(cx, degree)
     A = symmetrized_laplacian(cx, degree)
     dim = A.shape[0]
     if dim == 0:
@@ -130,26 +136,21 @@ class HodgeDecomposition:
                 self.basis_im_delta.shape[1])
 
 
-def _scaled(cx, degree):
-    from .operators import _scaled_coboundary
-
-    return _scaled_coboundary(cx, degree)
-
-
 def hodge_decompose(cx: WeightedComplex, ell: int, rank_tol: float = 1e-10) -> HodgeDecomposition:
     """Orthogonal splitting im d + ker L + im delta at degree ``ell``.
 
     Bases are orthonormal in the weighted inner product (computed in the
     M^{1/2} frame and mapped back); dimensions always sum to the table size.
     """
+    _check_degree(cx, ell)
     n_ell = cx.size(ell)
     inv_sqrt = 1.0 / np.sqrt(cx.weights[ell])
 
     def back(Q):
         return inv_sqrt[:, None] * Q if Q.size else Q.reshape(n_ell, 0)
 
-    W_prev = _scaled(cx, ell - 1).toarray() if ell > 0 else np.zeros((n_ell, 0))
-    W_next = _scaled(cx, ell).toarray() if ell < cx.max_degree else np.zeros((0, n_ell))
+    W_prev = _scaled_coboundary(cx, ell - 1).toarray() if ell > 0 else np.zeros((n_ell, 0))
+    W_next = _scaled_coboundary(cx, ell).toarray() if ell < cx.max_degree else np.zeros((0, n_ell))
 
     def col_basis(M):
         if min(M.shape) == 0:
@@ -207,7 +208,11 @@ def kernel_probe(cx: WeightedComplex, degree: int, shift: complex = 1j,
     """
     if shift not in (1j, -1j):
         raise ValueError("shift must be +i or -i")
-    rep = spectrum(cx, degree, how_many=1, seed=seed)
+    return _shifted_sigma_min(spectrum(cx, degree, how_many=1, seed=seed))
+
+
+def _shifted_sigma_min(rep: SpectrumReport) -> float:
+    """sqrt(lambda_min^2 + 1), the smallest singular value of L +- i; 1 on an empty block."""
     if not rep.eigenvalues:
         return 1.0
     lam = rep.eigenvalues[0]
@@ -269,15 +274,8 @@ def esa_sweep(off_spec, depths, tet_parity: int = 0, how_many: int = 4,
         down = boundary_weight_down(cx, boundary_factor)
         reports = {d: spectrum(cx, d, how_many=how_many, seed=seed)
                    for d in range(cx.max_degree + 1)}
-
-        def probe(rep):
-            if not rep.eigenvalues:
-                return 1.0
-            lam = rep.eigenvalues[0]
-            return math.sqrt(lam * lam + 1.0)
-
         # L is real PSD, so sigma_min(L + i) = sigma_min(L - i) = sqrt(l_min^2 + 1)
-        probes = {str(d): _sig12(probe(reports[d])) for d in reports}
+        probes = {str(d): _sig12(_shifted_sigma_min(reports[d])) for d in reports}
         row.update(
             refused=False,
             counts=list(cx.counts()),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hodgelab import Cochain, drop_simplices
+from hodgelab import Cochain, drop_simplices, induced_subcomplex
 from hodgelab.chi import (
     BOUNDED_ON_RANGE,
     GROWING,
@@ -17,7 +17,6 @@ from hodgelab.chi import (
     make_ball_exhaustion,
     make_cutoff_system,
     make_plateau_cutoff,
-    restrict_to_region,
 )
 from hodgelab.generators import (
     gen_lattice,
@@ -157,9 +156,9 @@ def test_monotone_supports():
         prev = supp
 
 
-def test_restrict_to_region_identity_and_k3(K4):
-    assert restrict_to_region(K4, {"a", "b", "c"}).counts()[:3] == (3, 3, 1)
-    assert restrict_to_region(K4, set("abcd")).counts() == K4.counts()
+def test_region_subcomplex_identity_and_k3(K4):
+    assert induced_subcomplex(K4, {"a", "b", "c"}).counts()[:3] == (3, 3, 1)
+    assert induced_subcomplex(K4, set("abcd")).counts() == K4.counts()
 
 
 def test_coupling_block_whole_region(K4):

@@ -41,6 +41,11 @@ def test_generate_roundtrip_identity(tmp_path, capsys):
     again = complex_to_json(cx)
     assert json.dumps(doc["weights"], sort_keys=True) == json.dumps(again["weights"], sort_keys=True)
     assert doc["edges"] == again["edges"]
+    run(capsys, "generate", "--kind", "perturbed", "--radius", "3", "--side", "2",
+        "--radial-alpha", "2", "--output", str(out))
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["radial_alpha"] == 2.0
+    assert complex_to_json(complex_from_json(doc)) == doc
 
 
 def test_invalid_params_exit_nonzero(capsys):
@@ -73,7 +78,6 @@ def test_chi_report_and_determinism(tmp_path, capsys):
     rep = json.loads(text1)
     assert rep["result"]["verdict"] == "BOUNDED_ON_RANGE"
     assert rep["version"]
-    assert rep["tolerances"]["tol_exact"] == 1e-12
     assert rep["config"]["k_range"] == "2..5"
 
 
@@ -113,7 +117,7 @@ def test_chi_divergence_ramp(tmp_path, capsys):
                      "--output", str(out))
     assert code == 0
     rep = json.loads(out.read_text())
-    assert rep["result"]["notes"]["ramp"][0] == "divergence"
+    assert rep["result"]["notes"]["ramp"] == ["divergence", "<callable>", 200]
 
 
 def test_divergence_synthetic(tmp_path, capsys):
@@ -124,6 +128,12 @@ def test_divergence_synthetic(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert abs(rep["result"]["partial_sums"][-1] - 2.9290) < 1e-3
     assert rep["result"]["classification"] == "divergent_log_like"
+
+
+def test_divergence_synthetic_zero_growth_budget(capsys):
+    code, _, err = run(capsys, "divergence", "--xi", "n-1", "--k-range", "2..3",
+                       "--cutoff-n", "1", "--horizon", "5")
+    assert_one_line_error(code, err)
 
 
 def test_divergence_measured(tmp_path, capsys):
@@ -193,6 +203,29 @@ def test_sweep_csv_and_json(tmp_path, capsys):
                      "--how-many", "2", "--output", str(out_json))
     rep = json.loads(out_json.read_text())
     assert [r["depth"] for r in rep["result"]["rows"]] == [4, 5]
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "hodge"])
+def test_degree_out_of_range(tmp_path, capsys, command):
+    cx_path = tmp_path / "cx.json"
+    run(capsys, "generate", "--kind", "lattice", "--radius", "2", "--output", str(cx_path))
+    code, _, err = run(capsys, command, "--input", str(cx_path), "--degree", "5")
+    assert_one_line_error(code, err)
+
+
+def test_mixed_vertex_ids(tmp_path, capsys):
+    cx_path = tmp_path / "mixed.json"
+    cx_path.write_text(json.dumps({
+        "vertices": [{"id": 0, "m0": 1.0}, {"id": "a", "m0": 1.0}],
+        "edges": [{"u": 0, "v": "a", "m1": 1.0}], "max_degree": 1}))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
 
 
 def test_verdicts_do_not_fail_exit_code(tmp_path, capsys):

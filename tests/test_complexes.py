@@ -10,6 +10,7 @@ from hodgelab import (
     canonical_sign,
     complex_from_json,
     complex_to_json,
+    drop_simplices,
     induced_subcomplex,
     weighted_degree,
 )
@@ -139,6 +140,15 @@ def test_json_roundtrip_preserves_dropped_simplices(K3, hollow_triangle):
     doc = json.loads(json.dumps(complex_to_json(hollow_triangle)))
     back = complex_from_json(doc)
     assert back.counts() == (3, 3, 0)
+
+
+def test_dropped_edge_leaves_the_graph(K3):
+    cx = drop_simplices(K3, 1, lambda e: e != ("a", "c"))
+    assert cx.counts() == (3, 2, 0)
+    assert cx.graph.distances_from(["a"]) == {"a": 0, "b": 1, "c": 2}
+    doc = json.loads(json.dumps(complex_to_json(cx)))
+    assert [(e["u"], e["v"]) for e in doc["edges"]] == [("a", "b"), ("b", "c")]
+    assert complex_from_json(doc).counts() == (3, 2, 0)
 
 
 def test_json_default_weights_are_one():

@@ -1,5 +1,5 @@
 """Cross-module invariants: generator soundness, kernel characterization,
-complex scalars, worker caps, exhaustion exclusions, radial JSON rule."""
+complex scalars, exhaustion exclusions, radial JSON rule."""
 
 import json
 
@@ -107,19 +107,6 @@ def test_cutoff_mode_enforced(K3):
     cutoffs = make_cutoff_system(K3, exh, [1, 2], ("linear", 1), mode="level", level=1)
     with pytest.raises(ValueError):
         check_global_chi(K3, cutoffs)
-
-
-def test_worker_cap_env(monkeypatch):
-    from hodgelab import _parallel
-
-    monkeypatch.setenv("HODGELAB_THREADS", "1")
-    assert _parallel.worker_cap() == 1
-    assert _parallel.map_deterministic(lambda x: x * x, range(6)) == [0, 1, 4, 9, 16, 25]
-    monkeypatch.setenv("HODGELAB_THREADS", "3")
-    assert _parallel.worker_cap() == 3
-    assert _parallel.map_deterministic(lambda x: -x, range(7)) == [0, -1, -2, -3, -4, -5, -6]
-    monkeypatch.setenv("HODGELAB_THREADS", "junk")
-    assert _parallel.worker_cap() >= 1
 
 
 def test_json_radial_weight_rule():

@@ -12,6 +12,7 @@ from hodgelab import (
     gauss_bonnet_apply,
     inner_product,
 )
+from hodgelab.complexes import reweighted
 from hodgelab.generators import gen_alternating_triangulation, gen_lattice
 from hodgelab.operators import (
     coboundary_matrix,
@@ -24,7 +25,23 @@ from hodgelab.operators import (
     block_offsets,
 )
 
-from oracles import coboundary_value, graph_laplacian
+from oracles import boundary_matrix, coboundary_value, graph_laplacian
+
+
+def _skewed(cx):
+    """The same tables with distinct non-unit weights on every simplex."""
+    return reweighted(cx, lambda i, s: 1.0 + 0.5 * i + 0.25 * sum(ord(v) - 96 for v in s))
+
+
+def _complex_cochain(cx, degree, rng):
+    n = cx.size(degree)
+    return Cochain(degree, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _dense_delta(cx, degree):
+    """M_{degree-1}^{-1} B M_degree from the oracle's boundary matrix B."""
+    B = boundary_matrix(cx.simplices[degree - 1], cx.simplices[degree])
+    return (B * cx.weights[degree][None, :]) / cx.weights[degree - 1][:, None]
 
 
 def test_coboundary_single_edge(single_edge):
@@ -66,9 +83,8 @@ def test_codifferential_k3_triangle(K3):
     assert dg.value_on(K3, ("a", "b")) == 1.0
     assert dg.value_on(K3, ("b", "c")) == 1.0
     assert dg.value_on(K3, ("a", "c")) == -1.0
-    # cross-check against the matrix adjoint
-    delta = codifferential_matrix(K3, 2)
-    assert np.allclose(delta @ g.values, dg.values)
+    # cross-check against the oracle's boundary matrix
+    assert np.allclose(boundary_matrix(K3.simplices[1], K3.simplices[2]) @ g.values, dg.values)
 
 
 def test_codifferential_degree_zero_errors(K3):
@@ -95,15 +111,16 @@ def test_adjointness_alternating_patch():
 
 
 def test_elementwise_matches_matrix(K4):
+    cx = _skewed(K4)
     rng = np.random.default_rng(3)
-    for i in range(K4.max_degree):
-        f = random_cochain(K4, i, rng)
-        assert np.allclose(coboundary_matrix(K4, i) @ f.values,
-                           coboundary_apply(K4, f).values, atol=1e-12)
-    for i in range(1, K4.max_degree + 1):
-        g = random_cochain(K4, i, rng)
-        assert np.allclose(codifferential_matrix(K4, i) @ g.values,
-                           codifferential_apply(K4, g).values, atol=1e-12)
+    for i in range(cx.max_degree):
+        f = _complex_cochain(cx, i, rng)
+        B = boundary_matrix(cx.simplices[i], cx.simplices[i + 1])
+        assert np.allclose(B.T @ f.values, coboundary_apply(cx, f).values, atol=1e-12)
+    for i in range(1, cx.max_degree + 1):
+        g = _complex_cochain(cx, i, rng)
+        assert np.allclose(_dense_delta(cx, i) @ g.values,
+                           codifferential_apply(cx, g).values, atol=1e-12)
 
 
 def test_l0_k3_eigenvalues(K3):
@@ -148,11 +165,17 @@ def test_d_squared_is_block_diagonal(K4):
                 assert abs(blk).max() <= 1e-12
 
 
-def test_gauss_bonnet_apply_against_matrix(K3):
+def test_gauss_bonnet_apply_against_matrix(K4):
+    cx = _skewed(K4)
     rng = np.random.default_rng(4)
-    F = tuple(random_cochain(K3, i, rng) for i in range(K3.max_degree + 1))
-    out = gauss_bonnet_apply(K3, F)
-    D = gauss_bonnet_matrix(K3)
+    F = tuple(_complex_cochain(cx, i, rng) for i in range(cx.max_degree + 1))
+    out = gauss_bonnet_apply(cx, F)
+    offs = block_offsets(cx)
+    D = np.zeros((offs[-1], offs[-1]))
+    for i in range(cx.max_degree):
+        B = boundary_matrix(cx.simplices[i], cx.simplices[i + 1])
+        D[offs[i + 1]:offs[i + 2], offs[i]:offs[i + 1]] = B.T
+        D[offs[i]:offs[i + 1], offs[i + 1]:offs[i + 2]] = _dense_delta(cx, i + 1)
     stacked = np.concatenate([f.values for f in F])
     expect = D @ stacked
     got = np.concatenate([c.values for c in out])
