@@ -182,30 +182,39 @@ def energy_functional(cx: WeightedComplex, chi: Mapping, degree: int):
     if degree > cx.max_degree:
         raise ValueError(f"degree {degree} above max degree {cx.max_degree}")
     base = degree - 1
-    m_up = cx.weights[degree]
-    m_dn = cx.weights[base]
-    tables = cx.simplices[base]
-    best = 0.0
-    witness = None
-    for j, exts in enumerate(cx.extensions[base]):
-        if not exts:
-            continue
-        s = tables[j]
-        val = _local_energy(chi.get, s, exts, m_up) / m_dn[j]
-        if val > best:
-            best = val
-            witness = s
-    return best, witness
+    c = _vertex_values(cx, chi)
+    val = _local_energy(cx, c, _simplex_means(cx, c, base), base) / cx.weights[base]
+    if val.size and val.max() > 0:
+        # the tables are sorted, so the first maximizer is the lexicographically smallest
+        j = int(np.argmax(val))
+        return float(val[j]), cx.simplices[base][j]
+    return 0.0, None
 
 
-def _local_energy(get, s: tuple, exts, m_up: np.ndarray) -> float:
-    """sum over coface extensions s+{x} of m_up(s+{x}) * |chi(x) - mean(chi on s)|^2."""
-    bar = math.fsum(get(v, 0.0) for v in s) / len(s)
-    acc = 0.0
-    for x, t in exts:
-        diff = get(x, 0.0) - bar
-        acc += m_up[t] * diff * diff
-    return acc
+def _vertex_values(cx: WeightedComplex, chi: Mapping) -> np.ndarray:
+    """chi on the degree-0 table, 0 where chi has no entry."""
+    get = chi.get
+    return np.array([get(v, 0.0) for (v,) in cx.simplices[0]], dtype=float)
+
+
+def _simplex_means(cx: WeightedComplex, c: np.ndarray, degree: int) -> np.ndarray:
+    """Mean of the vertex values ``c`` over each degree-``degree`` simplex,
+    summed exactly (``math.fsum``) before dividing."""
+    rows = c[cx.topology.vertex_index(degree)]
+    if degree <= 1:
+        # the rounded sum of at most two values is the exact sum rounded once
+        return rows.sum(axis=1) / (degree + 1)
+    return np.array([math.fsum(r) for r in rows.tolist()], dtype=float) / (degree + 1)
+
+
+def _local_energy(cx: WeightedComplex, c: np.ndarray, bar: np.ndarray, degree: int) -> np.ndarray:
+    """For each degree-``degree`` simplex s with vertex mean ``bar[s]``: the sum
+    over coface extensions s+{x} of m(s+{x}) * |c(x) - bar[s]|^2, added in
+    extension order."""
+    j, x, t = cx.topology.extension_coo(degree)
+    diff = c[x] - bar[j]
+    terms = cx.weights[degree + 1][t] * diff * diff
+    return np.bincount(j, weights=terms, minlength=cx.size(degree))
 
 
 def classify_entries(entries: Sequence[float], atol: float = VERDICT_ATOL,
@@ -386,11 +395,7 @@ def coupling_block(cx: WeightedComplex, region: Iterable,
 
 def averaged_extension(cx: WeightedComplex, chi: Mapping, degree: int) -> np.ndarray:
     """Vertex function averaged over the vertices of each degree-d simplex."""
-    get = chi.get
-    return np.array(
-        [math.fsum(get(v, 0.0) for v in s) / len(s) for s in cx.simplices[degree]],
-        dtype=float,
-    )
+    return _simplex_means(cx, _vertex_values(cx, chi), degree)
 
 
 @dataclass
@@ -412,31 +417,31 @@ def leibniz_remainder(cx: WeightedComplex, chi: Mapping, f: Cochain) -> LeibnizR
     ||R_d||^2 <= C * sum_s m_i(s) |f(s)|^2 * E(chi, s) on this instance.
     """
     i = f.degree
-    avg_i = averaged_extension(cx, chi, i)
+    c = _vertex_values(cx, chi)
+    avg_i = _simplex_means(cx, c, i)
     scaled = Cochain(i, avg_i * f.values)
 
     R_d = None
     norm_d = 0.0
     if i < cx.max_degree:
-        avg_up = averaged_extension(cx, chi, i + 1)
+        avg_up = _simplex_means(cx, c, i + 1)
         R_d = Cochain(i + 1, coboundary_apply(cx, scaled).values - avg_up * coboundary_apply(cx, f).values)
         norm_d = norm(cx, i + 1, R_d.values)
 
     R_delta = None
     norm_delta = 0.0
     if i >= 1:
-        avg_dn = averaged_extension(cx, chi, i - 1)
+        avg_dn = _simplex_means(cx, c, i - 1)
         R_delta = Cochain(i - 1, codifferential_apply(cx, scaled).values - avg_dn * codifferential_apply(cx, f).values)
         norm_delta = norm(cx, i - 1, R_delta.values)
 
     bound = 0.0
-    if i < cx.max_degree:
-        m_up = cx.weights[i + 1]
-        for j, exts in enumerate(cx.extensions[i]):
-            fj = f.values[j]
-            if fj == 0 or not exts:
-                continue
-            bound += abs(fj) ** 2 * _local_energy(chi.get, cx.simplices[i][j], exts, m_up)
+    if i < cx.max_degree and cx.size(i):
+        # |f(s)| ** 2 on Python scalars: the array forms np.abs and a * a round differently
+        squares = np.array([abs(a) ** 2 for a in f.values.tolist()], dtype=float)
+        terms = squares * _local_energy(cx, c, avg_i, i)
+        # a running sum in index order; np.sum adds pairwise and rounds differently
+        bound = float(np.cumsum(terms)[-1])
     smallest_C = None
     if bound > 0:
         smallest_C = norm_d ** 2 / bound

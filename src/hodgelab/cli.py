@@ -25,11 +25,15 @@ from .operators import assemble_block, export_coordinate_text
 __all__ = ["main", "build_parser"]
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, flag: str) -> list[int]:
     if ".." in text:
         a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(x) for x in text.split(",") if x]
+        values = list(range(int(a), int(b) + 1))
+    else:
+        values = [int(x) for x in text.split(",") if x]
+    if not values:
+        raise ValueError(f"empty {flag} {text!r}")
+    return values
 
 
 def _load_complex(path: str):
@@ -125,7 +129,7 @@ def _roots_for(cx, args):
 
 def cmd_chi(args) -> int:
     cx = _load_complex(args.input)
-    ks = _parse_range(args.k_range)
+    ks = _parse_range(args.k_range, "--k-range")
     if args.mode == "region":
         if not args.region_file:
             raise ValueError("region mode needs --region-file")
@@ -171,7 +175,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_divergence(args) -> int:
-    ks = _parse_range(args.k_range)
+    ks = _parse_range(args.k_range, "--k-range")
     result: dict = {}
     if args.xi:
         xi_fn = gen.parse_offspring(args.xi)
@@ -182,6 +186,9 @@ def cmd_divergence(args) -> int:
         cx = _load_complex(args.input)
         layers = (div_mod.layers_by_depth(cx) if args.layers == "depth"
                   else div_mod.layers_by_distance(cx, _roots_for(cx, args)))
+        last = layers.num_layers() - 1
+        if min(ks) < 0 or max(ks) > last:
+            raise ValueError(f"--k-range {args.k_range!r} must lie within the layers 0..{last}")
         report = div_mod.validate_decomposition(cx, layers)
         table = div_mod.growth_table(cx, layers, ks)
         xi_seq = {k: table[k][0] for k in ks}
@@ -244,7 +251,7 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    depths = _parse_range(args.depths)
+    depths = _parse_range(args.depths, "--depths")
     table = spectral.esa_sweep(args.off, depths, tet_parity=args.tet_parity,
                                how_many=args.how_many, seed=args.seed)
     if args.format == "csv":

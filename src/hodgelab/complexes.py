@@ -20,6 +20,7 @@ __all__ = [
     "WeightedGraph",
     "Simplex",
     "WeightedComplex",
+    "Topology",
     "canonical_sign",
     "build_clique_complex",
     "weighted_degree",
@@ -134,34 +135,26 @@ class WeightedGraph:
         return dist
 
 
-@dataclass
-class WeightedComplex:
-    """Finite weighted clique complex with per-degree canonical tables.
+class Topology:
+    """Index, faces and coface extensions of fixed simplex tables.
 
-    ``simplices[i]`` lists degree-i simplices as sorted vertex tuples in
-    lexicographic order; ``weights[i]`` is the aligned positive weight vector.
-    ``extensions[i][j]`` lists ``(x, t)`` pairs: vertex ``x`` extends simplex
-    ``j`` of degree ``i`` to the stored degree-(i+1) simplex with index ``t``.
-    ``faces[i][j]`` lists ``(l, s)``: omitting position ``l`` of simplex ``j``
-    gives the degree-(i-1) simplex with index ``s``.  Immutable after
-    construction.
+    ``index[i]`` maps a degree-i simplex to its position; ``faces[i][j]``
+    lists ``(l, s)``: omitting position ``l`` of simplex ``j`` gives the
+    degree-(i-1) simplex with index ``s``; ``extensions[i][j]`` lists
+    ``(x, t)`` pairs: vertex ``x`` extends simplex ``j`` of degree ``i`` to
+    the degree-(i+1) simplex with index ``t``.  The integer arrays of
+    ``vertex_index`` and ``extension_coo`` are built from ``faces`` on first
+    use and cached.  Every reweighting of a complex shares its topology.
     """
 
-    graph: WeightedGraph
-    max_degree: int
-    simplices: list[list[tuple]]
-    weights: list[np.ndarray]
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.index: list[dict] = [
-            {s: j for j, s in enumerate(table)} for table in self.simplices
-        ]
+    def __init__(self, simplices: list[list[tuple]], max_degree: int):
+        self.max_degree = max_degree
+        self.index: list[dict] = [{s: j for j, s in enumerate(table)} for table in simplices]
         self.faces: list[list[list[tuple[int, int]]]] = [[]]
-        for i in range(1, self.max_degree + 1):
+        for i in range(1, max_degree + 1):
             lower = self.index[i - 1]
             level = []
-            for s in self.simplices[i]:
+            for s in simplices[i]:
                 row = []
                 for l in range(len(s)):
                     face = s[:l] + s[l + 1:]
@@ -169,12 +162,89 @@ class WeightedComplex:
                 level.append(row)
             self.faces.append(level)
         self.extensions: list[list[list[tuple[Vertex, int]]]] = [
-            [[] for _ in table] for table in self.simplices
+            [[] for _ in table] for table in simplices
         ]
-        for i in range(1, self.max_degree + 1):
-            for t, s in enumerate(self.simplices[i]):
+        for i in range(1, max_degree + 1):
+            for t, s in enumerate(simplices[i]):
                 for l, j in self.faces[i][t]:
                     self.extensions[i - 1][j].append((s[l], t))
+        self._vertex_index: dict[int, np.ndarray] = {}
+        self._extension_coo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _face_array(self, degree: int) -> np.ndarray:
+        """``(N_degree, degree+1)`` array: column l is the face omitting position l."""
+        pairs = np.array(self.faces[degree], dtype=np.int64)
+        return pairs.reshape(len(self.index[degree]), degree + 1, 2)[:, :, 1]
+
+    def vertex_index(self, degree: int) -> np.ndarray:
+        """``(N_degree, degree+1)`` int64 array of vertex positions (into the
+        degree-0 table) of every degree-``degree`` simplex, read-only."""
+        out = self._vertex_index.get(degree)
+        if out is None:
+            if degree == 0:
+                out = np.arange(len(self.index[0]), dtype=np.int64).reshape(-1, 1)
+            else:
+                # omitting the last vertex leaves the first ones, omitting the first leaves the last
+                lower, F = self.vertex_index(degree - 1), self._face_array(degree)
+                out = np.column_stack([lower[F[:, degree]], lower[F[:, 0], -1]])
+            out.setflags(write=False)
+            self._vertex_index[degree] = out
+        return out
+
+    def extension_coo(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(j, x, t)`` int64 arrays listing ``extensions[degree]`` in order
+        (j ascending, then list order), with ``x`` a vertex position; read-only."""
+        out = self._extension_coo.get(degree)
+        if out is None:
+            if degree >= self.max_degree:
+                out = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+            else:
+                F = self._face_array(degree + 1)
+                # extensions[degree][j] lists its cofaces t in ascending order
+                order = np.argsort(F.ravel(), kind="stable")
+                j = F.ravel()[order]
+                x = self.vertex_index(degree + 1).ravel()[order]
+                t = order // (degree + 2)
+                out = (j, x, t)
+            for a in out:
+                a.setflags(write=False)
+            self._extension_coo[degree] = out
+        return out
+
+
+@dataclass
+class WeightedComplex:
+    """Finite weighted clique complex with per-degree canonical tables.
+
+    ``simplices[i]`` lists degree-i simplices as sorted vertex tuples in
+    lexicographic order; ``weights[i]`` is the aligned positive weight vector.
+    ``index``, ``faces`` and ``extensions`` are those of ``topology`` (see
+    ``Topology``), which is built from the tables unless one is passed in.
+    Immutable after construction.
+    """
+
+    graph: WeightedGraph
+    max_degree: int
+    simplices: list[list[tuple]]
+    weights: list[np.ndarray]
+    meta: dict = field(default_factory=dict)
+    topology: Topology | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.topology is None:
+            self.topology = Topology(self.simplices, self.max_degree)
+
+    @property
+    def index(self) -> list[dict]:
+        return self.topology.index
+
+    @property
+    def faces(self) -> list[list[list[tuple[int, int]]]]:
+        return self.topology.faces
+
+    @property
+    def extensions(self) -> list[list[list[tuple[Vertex, int]]]]:
+        return self.topology.extensions
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(table) for table in self.simplices)
@@ -345,21 +415,25 @@ def drop_simplices(cx: WeightedComplex, degree: int, keep: Callable[[tuple], boo
                            simplices=tables, weights=weights, meta=dict(cx.meta))
 
 
-def reweighted(cx: WeightedComplex, weight_fn: Callable[[int, tuple], float],
+def reweighted(cx: WeightedComplex, weights: Sequence[np.ndarray],
                meta: dict | None = None) -> WeightedComplex:
-    """Same simplex tables with every weight replaced by ``weight_fn(degree, s)``."""
-    m0 = {v: weight_fn(0, (v,)) for v in cx.graph.vertices}
-    m1 = {e: weight_fn(1, e) for e in cx.graph.m1}
-    graph = WeightedGraph(m0, m1)
-    tables = [list(t) for t in cx.simplices]
-    weights = [
-        np.array([weight_fn(i, s) for s in cx.simplices[i]], dtype=float)
-        for i in range(cx.max_degree + 1)
-    ]
+    """Same simplex tables and topology with ``weights[i]`` on degree i.
+
+    ``weights[i]`` is aligned with ``cx.simplices[i]``; compute it from
+    ``cx.topology.vertex_index(i)``.  The graph carries the new degree-0 and
+    degree-1 weights, with its vertices and edges in the order of ``cx.graph``.
+    """
+    weights = [np.array(w, dtype=float) for w in weights]
+    if [len(w) for w in weights] != list(cx.counts()):
+        raise ValueError("weights must give one value per simplex of every degree")
+    edge_index = cx.index[1]
+    w0, w1 = weights[0].tolist(), weights[1].tolist()
+    graph = WeightedGraph(dict(zip(cx.graph.vertices, w0)),
+                          {e: w1[edge_index[e]] for e in cx.graph.m1})
     new_meta = dict(cx.meta)
     new_meta.update(meta or {})
-    return WeightedComplex(graph=graph, max_degree=cx.max_degree,
-                           simplices=tables, weights=weights, meta=new_meta)
+    return WeightedComplex(graph=graph, max_degree=cx.max_degree, simplices=cx.simplices,
+                           weights=weights, meta=new_meta, topology=cx.topology)
 
 
 # --- description JSON -------------------------------------------------------

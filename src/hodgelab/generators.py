@@ -9,9 +9,11 @@ which makes repeated runs bit-identical.
 
 from __future__ import annotations
 
+import ast
 import itertools
-import re
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .complexes import (
     WeightedComplex,
@@ -198,21 +200,61 @@ def gen_offspring_tree(depth: int, off: Callable[[int], int],
     return cx
 
 
-_OFF_PATTERN = re.compile(r"^[0-9n+\-*/^() ]+$")
+#: largest literal exponent an offspring formula may use
+MAX_OFF_EXPONENT = 8
+
+
+def _bounded_formula(node: ast.AST) -> bool:
+    """True for n, integer literals, + - * /, unary minus and ** with an
+    integer-literal exponent <= MAX_OFF_EXPONENT over a base free of **.
+
+    Without powers the value's size grows at most linearly with the formula's
+    length, and each power multiplies it by at most MAX_OFF_EXPONENT once, so
+    the work of one evaluation is bounded by the formula's length.
+    """
+    if isinstance(node, ast.Name):
+        return node.id == "n"
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.USub) and _bounded_formula(node.operand)
+    if not isinstance(node, ast.BinOp):
+        return False
+    if isinstance(node.op, ast.Pow):
+        exp = node.right
+        return (isinstance(exp, ast.Constant) and type(exp.value) is int
+                and exp.value <= MAX_OFF_EXPONENT
+                and not any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+                            for sub in ast.walk(node.left))
+                and _bounded_formula(node.left))
+    return (isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+            and _bounded_formula(node.left) and _bounded_formula(node.right))
 
 
 def parse_offspring(spec) -> Callable[[int], int]:
     """Turn an offspring description (int, callable, or formula in n) into a
-    callable; "n^2" etc. are accepted."""
+    callable; "n^2" etc. are accepted.  Formulas are limited to the bounded
+    forms of ``_bounded_formula``; anything else raises ``ValueError``."""
     if callable(spec):
         return spec
     if isinstance(spec, int):
         return lambda n, k=spec: k
     text = str(spec).strip()
-    if not _OFF_PATTERN.match(text):
+    try:
+        tree = ast.parse(text.replace("^", "**"), "<offspring>", mode="eval")
+    except SyntaxError:
+        tree = None
+    if tree is None or not _bounded_formula(tree.body):
         raise ValueError(f"unsupported offspring formula {spec!r}")
-    code = compile(text.replace("^", "**"), "<offspring>", "eval")
-    return lambda n: int(eval(code, {"__builtins__": {}}, {"n": n}))
+    code = compile(tree, "<offspring>", "eval")
+
+    def off(n):
+        try:
+            return int(eval(code, {"__builtins__": {}}, {"n": n}))
+        except ArithmeticError as err:
+            raise ValueError(f"offspring formula {text!r} at n={n}: {err}") from None
+
+    return off
 
 
 def _family_offspring(off_spec) -> Callable[[int], int]:
@@ -261,6 +303,9 @@ def radial_weighting(cx: WeightedComplex, base: Iterable, alpha: float) -> Weigh
     missing = [v for v in cx.graph.vertices if v not in dist]
     if missing:
         raise ValueError(f"{len(missing)} vertices unreachable from the base set")
-    fn = lambda degree, s: (1.0 + max(dist[v] for v in s)) ** (-alpha)
-    out = reweighted(cx, fn, meta={"radial_alpha": alpha, "radial_base_size": len(base)})
-    return out
+    vertex_dist = np.array([dist[v] for v in cx.graph.vertices], dtype=np.int64)
+    # Python's ** on each distance, so the weights equal the per-simplex formula bit for bit
+    table = np.array([(1.0 + d) ** (-alpha) for d in range(int(vertex_dist.max(initial=0)) + 1)])
+    weights = [table[vertex_dist[cx.topology.vertex_index(i)].max(axis=1)]
+               for i in range(cx.max_degree + 1)]
+    return reweighted(cx, weights, meta={"radial_alpha": alpha, "radial_base_size": len(base)})

@@ -231,11 +231,12 @@ def boundary_weight_down(cx: WeightedComplex, factor: float = 1e-3) -> WeightedC
     root = cx.graph.vertices[0]
     dist = cx.graph.distances_from([root])
     top = max(dist.values())
-    boundary = {v for v, d in dist.items() if d == top}
-    fn = lambda degree, s, b=boundary: (
-        cx.weights[degree][cx.index_of(degree, s)] * (factor if any(v in b for v in s) else 1.0)
-    )
-    return reweighted(cx, fn, meta={"boundary_weight_factor": factor})
+    on_boundary = np.array([dist.get(v) == top for v in cx.graph.vertices])
+    weights = [
+        cx.weights[i] * np.where(on_boundary[cx.topology.vertex_index(i)].any(axis=1), factor, 1.0)
+        for i in range(cx.max_degree + 1)
+    ]
+    return reweighted(cx, weights, meta={"boundary_weight_factor": factor})
 
 
 def _sig12(x: float) -> float:

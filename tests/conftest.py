@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from hodgelab import WeightedGraph, build_clique_complex, drop_simplices
+
+
+# property tests draw the same examples on every run, with no example
+# database, so Tier-1 results and run time do not vary between runs
+settings.register_profile("hodgelab", derandomize=True, deadline=None, max_examples=100,
+                          database=None)
+settings.load_profile("hodgelab")
 
 
 def unit_graph(vertices, edges):

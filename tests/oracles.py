@@ -6,6 +6,7 @@ it checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -82,3 +83,27 @@ def coboundary_value(f_map, simplex):
         face = simplex[:l] + simplex[l + 1:]
         total += ((-1) ** l) * f_map.get(face, 0.0)
     return total
+
+
+def cutoff_energy_sup(tables, weights, chi, degree):
+    """Sup over (degree-1)-simplices s of the cut-off energy
+    (1/m(s)) * sum over cofaces s+{x} of m(s+{x}) * |chi(x) - mean chi(s)|^2,
+    with the witness the lexicographically smallest maximizer.
+
+    Cofaces are found by vertex-set inclusion over the sorted tables and their
+    terms added in table order; the mean is the exactly summed vertex values
+    divided by the vertex count.  Returns (0.0, None) when every energy is 0.
+    """
+    best, witness = 0.0, None
+    for j, s in enumerate(tables[degree - 1]):
+        bar = math.fsum(chi.get(v, 0.0) for v in s) / len(s)
+        total = 0.0
+        for t, up in enumerate(tables[degree]):
+            if set(s) < set(up):
+                (x,) = set(up) - set(s)
+                diff = chi.get(x, 0.0) - bar
+                total += weights[degree][t] * diff * diff
+        value = total / weights[degree - 1][j]
+        if value > best:
+            best, witness = value, s
+    return best, witness

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from hodgelab import Cochain, drop_simplices, induced_subcomplex
+from hodgelab import Cochain, WeightedGraph, build_clique_complex, drop_simplices, induced_subcomplex
+from hodgelab.complexes import reweighted
 from hodgelab.chi import (
     BOUNDED_ON_RANGE,
     GROWING,
@@ -25,6 +28,8 @@ from hodgelab.generators import (
     lattice_cube,
 )
 from hodgelab.operators import coboundary_apply, random_cochain
+
+from oracles import cutoff_energy_sup
 
 
 def line(radius=10):
@@ -96,6 +101,40 @@ def test_energy_functional_line_closed_form():
             assert np.isclose(sup, 2.0 / W ** 2)
 
 
+@st.composite
+def weighted_complexes_with_cutoffs(draw):
+    """A random clique complex on <= 9 vertices, max degree 2 or 3, weights
+    in [0.1, 10] on every simplex and a vertex function in [0, 1] that may
+    leave vertices out.  Half the cases draw round values only, so that equal
+    energies occur and the witness rule is tested on ties."""
+    n_vertices = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n_vertices), 2))
+    # two edges in three on average, so that tetrahedra are common
+    keep = draw(st.lists(st.sampled_from([True, True, False]), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    graph = WeightedGraph({v: 1.0 for v in range(n_vertices)}, {e: 1.0 for e in edges})
+    cx = build_clique_complex(graph, draw(st.integers(2, 3)))
+    round_values = draw(st.booleans())
+    weight = st.sampled_from([0.5, 1.0, 2.0]) if round_values else st.floats(0.1, 10.0)
+    value = st.sampled_from([0.0, 0.5, 1.0]) if round_values else st.floats(0.0, 1.0)
+    cx = reweighted(cx, [draw(st.lists(weight, min_size=size, max_size=size)) for size in cx.counts()])
+    values = draw(st.lists(st.none() | value,
+                           min_size=n_vertices, max_size=n_vertices))
+    chi = {v: x for v, x in enumerate(values) if x is not None}
+    return cx, chi
+
+
+@given(weighted_complexes_with_cutoffs())
+def test_energy_functional_matches_definition_oracle(case):
+    cx, chi = case
+    for degree in range(1, cx.max_degree + 1):
+        sup, witness = energy_functional(cx, chi, degree)
+        want, want_witness = cutoff_energy_sup(cx.simplices, cx.weights, chi, degree)
+        assert abs(sup - want) <= 1e-12 * abs(want)
+        assert witness == want_witness
+
+
 def test_energy_functional_degree_zero_errors(K3):
     with pytest.raises(ValueError):
         energy_functional(K3, {}, 0)
@@ -107,6 +146,14 @@ def test_energy_witness_is_lexicographically_smallest():
     sup, witness = energy_functional(cx, chi, 1)
     # symmetric profile: the negative-side maximizer sorts first
     assert witness == min(w for w in [witness, tuple(map(lambda x: (-x[0],), witness))])
+
+
+def test_averaged_extension_sums_exactly(K3):
+    from hodgelab.chi import averaged_extension
+
+    chi = {"a": 0.1, "b": 0.2, "c": 0.3}
+    assert (0.1 + 0.2) + 0.3 != math.fsum(chi.values())
+    assert averaged_extension(K3, chi, 2)[0] == math.fsum(chi.values()) / 3
 
 
 def test_classify_entries():
@@ -124,6 +171,8 @@ def test_global_chi_periodic_lattice_constant_rows():
     prof = check_global_chi(cx, cutoffs)
     for row in prof.table:
         assert max(row) - min(row) <= 1e-12
+    # plain Python floats, so printed tables read as numbers (np.float64 is a float subclass)
+    assert all(type(x) is float for row in prof.table for x in row)
     assert prof.verdict == BOUNDED_ON_RANGE
     assert prof.constant_C == max(max(row) for row in prof.table)
 

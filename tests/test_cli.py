@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -237,3 +238,30 @@ def test_verdicts_do_not_fail_exit_code(tmp_path, capsys):
     code, _, _ = run(capsys, "chi", "--input", str(cx_path), "--k-range", "1..4",
                      "--roots", "[[]]", "--output", str(out))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["chi", "divergence"])
+def test_empty_k_range(tmp_path, capsys, command):
+    cx_path = tmp_path / "cx.json"
+    run(capsys, "generate", "--kind", "lattice", "--radius", "2", "--output", str(cx_path))
+    code, _, err = run(capsys, command, "--input", str(cx_path), "--k-range", "5..2")
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: empty --k-range '5..2'"
+
+
+@pytest.mark.parametrize("k_range", ["0..6", "-1..2"])
+def test_divergence_k_range_outside_the_layers(tmp_path, capsys, k_range):
+    cx_path = tmp_path / "tree.json"
+    run(capsys, "generate", "--kind", "offspring-tree", "--off", "n^2", "--depth", "4",
+        "--output", str(cx_path))
+    code, _, err = run(capsys, "divergence", "--input", str(cx_path), "--layers", "depth",
+                       f"--k-range={k_range}")
+    assert_one_line_error(code, err)
+    assert "layers 0..4" in err
+
+
+def test_divergence_unbounded_formula_is_refused(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "divergence", "--xi", "9^9^9", "--k-range", "1..2")
+    assert time.perf_counter() - start < 1.0
+    assert_one_line_error(code, err)

@@ -127,9 +127,30 @@ def test_generators_deterministic():
 def test_parse_offspring():
     assert parse_offspring(2)(7) == 2
     assert parse_offspring("n^2")(5) == 25
+    assert parse_offspring("n^3")(4) == 64
     assert parse_offspring("n^4")(3) == 81
+    assert parse_offspring("2")(9) == 2
+    assert parse_offspring("2*n+1")(3) == 7
     with pytest.raises(ValueError):
         parse_offspring("__import__('os')")
+
+
+@pytest.mark.parametrize("formula", [
+    "9^9^9",          # exponent not a literal
+    "n^9",            # literal exponent above the cap
+    "2^n",            # exponent depends on n
+    "((9^8)^8)^8",    # a tower of capped powers grows without bound
+    "n^-1",           # unary minus is not a literal
+    "n % 2", "n // 2", "n.real", "n+", "1.5*n", "m",
+])
+def test_parse_offspring_refuses_unbounded_or_foreign_formulas(formula):
+    with pytest.raises(ValueError):
+        parse_offspring(formula)
+
+
+def test_parse_offspring_arithmetic_error_is_a_value_error():
+    with pytest.raises(ValueError, match="at n=3"):
+        parse_offspring("n/(n-3)")(3)
 
 
 def test_radial_weighting_path_graph():

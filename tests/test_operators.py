@@ -30,7 +30,8 @@ from oracles import boundary_matrix, coboundary_value, graph_laplacian
 
 def _skewed(cx):
     """The same tables with distinct non-unit weights on every simplex."""
-    return reweighted(cx, lambda i, s: 1.0 + 0.5 * i + 0.25 * sum(ord(v) - 96 for v in s))
+    return reweighted(cx, [[1.0 + 0.5 * i + 0.25 * sum(ord(v) - 96 for v in s) for s in table]
+                           for i, table in enumerate(cx.simplices)])
 
 
 def _complex_cochain(cx, degree, rng):
