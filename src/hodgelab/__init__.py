@@ -4,7 +4,6 @@ diagnostics."""
 __version__ = "0.1.0"
 
 from .complexes import (
-    Simplex,
     WeightedComplex,
     WeightedGraph,
     build_clique_complex,
@@ -29,7 +28,6 @@ from .operators import (
 
 __all__ = [
     "__version__",
-    "Simplex",
     "WeightedComplex",
     "WeightedGraph",
     "build_clique_complex",

@@ -354,15 +354,11 @@ def coupling_block(cx: WeightedComplex, region: Iterable,
     """Split D into [[D_in, C], [C*, D_out]] by region membership of simplices."""
     region = set(region)
     D = gauss_bonnet_matrix(cx).tocsr()
-    flags = []
-    cross = 0
-    for i in range(cx.max_degree + 1):
-        for s in cx.simplices[i]:
-            inside = sum(1 for v in s if v in region)
-            flags.append(inside == len(s))
-            if 0 < inside < len(s):
-                cross += 1
-    flags = np.asarray(flags, dtype=bool)
+    inside = np.array([v in region for (v,) in cx.simplices[0]], dtype=bool)
+    # per degree, how many vertices of each simplex lie in the region
+    hits = [inside[cx.topology.vertex_index(i)].sum(axis=1) for i in range(cx.max_degree + 1)]
+    flags = np.concatenate([h == i + 1 for i, h in enumerate(hits)])
+    cross = sum(int(np.count_nonzero((h > 0) & (h <= i))) for i, h in enumerate(hits))
     in_idx = np.nonzero(flags)[0]
     out_idx = np.nonzero(~flags)[0]
     D_in = D[in_idx][:, in_idx]

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "WeightedGraph",
-    "Simplex",
     "WeightedComplex",
     "Topology",
     "canonical_sign",
@@ -31,7 +32,6 @@ __all__ = [
 ]
 
 Vertex = Hashable
-WeightRule = Callable[[tuple], float]
 
 
 def canonical_sign(vertices: Sequence[Vertex]) -> tuple[tuple, int]:
@@ -54,12 +54,13 @@ def canonical_sign(vertices: Sequence[Vertex]) -> tuple[tuple, int]:
     return tuple(sorted(t)), sign
 
 
-class Simplex(NamedTuple):
-    """Canonical simplex: geometric degree, sorted vertices, dense index."""
-
-    degree: int
-    vertices: tuple
-    index: int
+def _positive_weight(w, what: str, *args) -> float:
+    """``w`` as a float, refused with a ValueError naming ``what.format(*args)``
+    unless it is finite and positive."""
+    w = float(w)
+    if not 0 < w < math.inf:
+        raise ValueError(f"{what.format(*args)} = {w} must be finite and positive")
+    return w
 
 
 class WeightedGraph:
@@ -75,18 +76,13 @@ class WeightedGraph:
             self.vertices = sorted(m0)
         except TypeError:
             raise ValueError("vertex ids must be mutually comparable (e.g. not mixed int and str)") from None
-        self.m0 = {}
-        for v, w in m0.items():
-            w = float(w)
-            if w <= 0:
-                raise ValueError(f"m0({v!r}) = {w} must be positive")
-            self.m0[v] = w
+        self.m0 = {v: _positive_weight(w, "m0({!r})", v) for v, w in m0.items()}
         self.m1: dict[tuple, float] = {}
         self.adjacency: dict[Vertex, set] = {v: set() for v in self.vertices}
         for (u, v), w in m1.items():
             w = float(w)
-            if w < 0:
-                raise ValueError(f"m1({u!r},{v!r}) = {w} must be nonnegative")
+            if not 0 <= w < math.inf:
+                raise ValueError(f"m1({u!r},{v!r}) = {w} must be finite and nonnegative")
             if u == v:
                 if not allow_loops:
                     raise ValueError(f"loop at {u!r} not allowed")
@@ -101,13 +97,6 @@ class WeightedGraph:
                 self.m1[key] = w
                 self.adjacency[key[0]].add(key[1])
                 self.adjacency[key[1]].add(key[0])
-
-    def edge_weight(self, u: Vertex, v: Vertex) -> float:
-        key = (u, v) if u < v else (v, u)
-        return self.m1.get(key, 0.0)
-
-    def neighbors(self, v: Vertex) -> set:
-        return self.adjacency[v]
 
     def common_neighbors(self, vertices: Iterable[Vertex]) -> set:
         vs = list(vertices)
@@ -136,71 +125,66 @@ class WeightedGraph:
 
 
 class Topology:
-    """Index, faces and coface extensions of fixed simplex tables.
+    """Index and face arrays of fixed simplex tables.
 
-    ``index[i]`` maps a degree-i simplex to its position; ``faces[i][j]``
-    lists ``(l, s)``: omitting position ``l`` of simplex ``j`` gives the
-    degree-(i-1) simplex with index ``s``; ``extensions[i][j]`` lists
-    ``(x, t)`` pairs: vertex ``x`` extends simplex ``j`` of degree ``i`` to
-    the degree-(i+1) simplex with index ``t``.  The integer arrays of
-    ``vertex_index`` and ``extension_coo`` are built from ``faces`` on first
-    use and cached.  Every reweighting of a complex shares its topology.
+    ``index[i]`` maps a degree-i simplex to its position.  ``face_arrays[i]``
+    is the one stored face structure of degree i >= 1: a read-only int64
+    array of shape ``(N_i, i+1)`` whose column l holds the index of the
+    degree-(i-1) face omitting vertex l (a vertex has no faces, so
+    ``face_arrays[0]`` has no columns).  The coface extensions
+    (``extension_coo``) and the signed incidence matrices (``incidence``) are
+    derived from the face arrays on first use and cached; ``vertex_index``
+    holds the vertex positions the faces were looked up by.  Every
+    reweighting of a complex shares its topology.
     """
 
     def __init__(self, simplices: list[list[tuple]], max_degree: int):
         self.max_degree = max_degree
         self.index: list[dict] = [{s: j for j, s in enumerate(table)} for table in simplices]
-        self.faces: list[list[list[tuple[int, int]]]] = [[]]
+        n0 = len(simplices[0])
+        position = {v: j for j, (v,) in enumerate(simplices[0])}
+        self._vertex_index = [np.arange(n0, dtype=np.int64).reshape(-1, 1)]
+        self.face_arrays: list[np.ndarray] = [np.zeros((n0, 0), dtype=np.int64)]
+        # codes[i] codes each degree-i simplex as (index of its face omitting the
+        # last vertex) * n0 + last vertex; sorted tables give increasing codes
+        codes: list[np.ndarray | None] = [None]
         for i in range(1, max_degree + 1):
-            lower = self.index[i - 1]
-            level = []
-            for s in simplices[i]:
-                row = []
-                for l in range(len(s)):
-                    face = s[:l] + s[l + 1:]
-                    row.append((l, lower[face]))
-                level.append(row)
-            self.faces.append(level)
-        self.extensions: list[list[list[tuple[Vertex, int]]]] = [
-            [[] for _ in table] for table in simplices
-        ]
-        for i in range(1, max_degree + 1):
-            for t, s in enumerate(simplices[i]):
-                for l, j in self.faces[i][t]:
-                    self.extensions[i - 1][j].append((s[l], t))
-        self._vertex_index: dict[int, np.ndarray] = {}
+            V = np.fromiter(map(position.__getitem__, itertools.chain.from_iterable(simplices[i])),
+                            dtype=np.int64, count=len(simplices[i]) * (i + 1)).reshape(-1, i + 1)
+            columns = []
+            for l in range(i + 1):
+                face = np.delete(V, l, axis=1)
+                j = face[:, 0]
+                for d in range(1, i):
+                    j = np.searchsorted(codes[d], j * n0 + face[:, d])
+                if not np.array_equal(self._vertex_index[i - 1].take(j, axis=0, mode="clip"), face):
+                    raise ValueError(f"degree-{i} simplex table is unsorted or not closed under faces")
+                columns.append(j)
+            F = np.column_stack(columns)
+            codes.append(F[:, i] * n0 + V[:, i])
+            self._vertex_index.append(V)
+            self.face_arrays.append(F)
+        for a in self._vertex_index + self.face_arrays:
+            a.setflags(write=False)
         self._extension_coo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _face_array(self, degree: int) -> np.ndarray:
-        """``(N_degree, degree+1)`` array: column l is the face omitting position l."""
-        pairs = np.array(self.faces[degree], dtype=np.int64)
-        return pairs.reshape(len(self.index[degree]), degree + 1, 2)[:, :, 1]
+        self._incidence: dict[int, sp.csr_matrix] = {}
 
     def vertex_index(self, degree: int) -> np.ndarray:
         """``(N_degree, degree+1)`` int64 array of vertex positions (into the
         degree-0 table) of every degree-``degree`` simplex, read-only."""
-        out = self._vertex_index.get(degree)
-        if out is None:
-            if degree == 0:
-                out = np.arange(len(self.index[0]), dtype=np.int64).reshape(-1, 1)
-            else:
-                # omitting the last vertex leaves the first ones, omitting the first leaves the last
-                lower, F = self.vertex_index(degree - 1), self._face_array(degree)
-                out = np.column_stack([lower[F[:, degree]], lower[F[:, 0], -1]])
-            out.setflags(write=False)
-            self._vertex_index[degree] = out
-        return out
+        return self._vertex_index[degree]
 
     def extension_coo(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(j, x, t)`` int64 arrays listing ``extensions[degree]`` in order
-        (j ascending, then list order), with ``x`` a vertex position; read-only."""
+        """``(j, x, t)`` int64 arrays, one entry per coface: vertex position
+        ``x`` extends simplex ``j`` of degree ``degree`` to the
+        degree-(degree+1) simplex ``t``; sorted by ``j``, then ``t``;
+        read-only."""
         out = self._extension_coo.get(degree)
         if out is None:
             if degree >= self.max_degree:
                 out = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
             else:
-                F = self._face_array(degree + 1)
-                # extensions[degree][j] lists its cofaces t in ascending order
+                F = self.face_arrays[degree + 1]
                 order = np.argsort(F.ravel(), kind="stable")
                 j = F.ravel()[order]
                 x = self.vertex_index(degree + 1).ravel()[order]
@@ -211,6 +195,24 @@ class Topology:
             self._extension_coo[degree] = out
         return out
 
+    def incidence(self, degree: int) -> sp.csr_matrix:
+        """d_degree: the |P_{degree+1}| x |P_degree| signed incidence matrix,
+        entry (-1)^l at the face omitting vertex l; its arrays are read-only."""
+        out = self._incidence.get(degree)
+        if out is None:
+            F = self.face_arrays[degree + 1]
+            rows, width = F.shape
+            # the face index falls as the omitted vertex moves right, so the
+            # reversed columns list each row's faces in ascending order
+            signs = np.where(np.arange(width)[::-1] % 2 == 0, 1.0, -1.0)
+            out = sp.csr_matrix((np.tile(signs, rows), F[:, ::-1].ravel(),
+                                 np.arange(0, rows * width + 1, width)),
+                                shape=(rows, len(self.index[degree])))
+            for a in (out.data, out.indices, out.indptr):
+                a.setflags(write=False)
+            self._incidence[degree] = out
+        return out
+
 
 @dataclass
 class WeightedComplex:
@@ -218,9 +220,8 @@ class WeightedComplex:
 
     ``simplices[i]`` lists degree-i simplices as sorted vertex tuples in
     lexicographic order; ``weights[i]`` is the aligned positive weight vector.
-    ``index``, ``faces`` and ``extensions`` are those of ``topology`` (see
-    ``Topology``), which is built from the tables unless one is passed in.
-    Immutable after construction.
+    ``index`` is that of ``topology`` (see ``Topology``), which is built from
+    the tables unless one is passed in.  Immutable after construction.
     """
 
     graph: WeightedGraph
@@ -238,14 +239,6 @@ class WeightedComplex:
     def index(self) -> list[dict]:
         return self.topology.index
 
-    @property
-    def faces(self) -> list[list[list[tuple[int, int]]]]:
-        return self.topology.faces
-
-    @property
-    def extensions(self) -> list[list[list[tuple[Vertex, int]]]]:
-        return self.topology.extensions
-
     def counts(self) -> tuple[int, ...]:
         return tuple(len(table) for table in self.simplices)
 
@@ -255,9 +248,6 @@ class WeightedComplex:
     def size(self, degree: int) -> int:
         return len(self.simplices[degree])
 
-    def simplex(self, degree: int, index: int) -> Simplex:
-        return Simplex(degree, self.simplices[degree][index], index)
-
     def index_of(self, degree: int, vertices: Sequence[Vertex]) -> int:
         key = tuple(vertices)
         idx = self.index[degree].get(key)
@@ -265,58 +255,12 @@ class WeightedComplex:
             raise KeyError(f"degree-{degree} simplex {key!r} not in complex")
         return idx
 
-    def canonical_simplex(self, vertices: Sequence[Vertex]) -> tuple[Simplex, int]:
-        """Canonical simplex and orientation sign for an ordered tuple."""
-        key, sign = canonical_sign(vertices)
-        degree = len(key) - 1
-        return self.simplex(degree, self.index_of(degree, key)), sign
-
-    def weight(self, degree: int, index: int) -> float:
-        return float(self.weights[degree][index])
-
-    def contains(self, vertices: Sequence[Vertex]) -> bool:
-        key, _ = canonical_sign(vertices)
-        return key in self.index[len(key) - 1] if len(key) - 1 <= self.max_degree else False
-
-    def simplex_neighbors(self, degree: int, index: int) -> list[int]:
-        """Same-degree simplices sharing all but one vertex (exposed query)."""
-        out: set[int] = set()
-        if degree == 0:
-            s = self.simplices[0][index][0]
-            return sorted(self.index[0][(w,)] for w in self.graph.neighbors(s))
-        for _, face_idx in self.faces[degree][index]:
-            for _, t in self.extensions[degree - 1][face_idx]:
-                if t != index:
-                    out.add(t)
-        return sorted(out)
-
-    def verify_face_closure(self) -> None:
-        """Exhaustive check that every face of a stored simplex is stored."""
-        for i in range(1, self.max_degree + 1):
-            for s in self.simplices[i]:
-                for face in itertools.combinations(s, i):
-                    if face not in self.index[i - 1]:
-                        raise AssertionError(f"missing face {face!r} of {s!r}")
-
-    def verify_clique_soundness(self) -> None:
-        """Every vertex pair of every stored simplex must be a positive edge."""
-        for i in range(1, self.max_degree + 1):
-            for s in self.simplices[i]:
-                for u, v in itertools.combinations(s, 2):
-                    if self.graph.edge_weight(u, v) <= 0:
-                        raise AssertionError(f"simplex {s!r} has non-edge ({u!r},{v!r})")
-
 
 def _resolve_weight(rule, vertices: tuple) -> float:
     if rule is None:
         return 1.0
-    if callable(rule):
-        w = float(rule(vertices))
-    else:
-        w = float(rule[len(vertices) - 1][vertices])
-    if w <= 0:
-        raise ValueError(f"weight rule gave nonpositive weight {w} on {vertices!r}")
-    return w
+    w = rule(vertices) if callable(rule) else rule[len(vertices) - 1][vertices]
+    return _positive_weight(w, "weight rule on {!r}", vertices)
 
 
 def build_clique_complex(graph: WeightedGraph, n: int, weight_rule=None) -> WeightedComplex:
@@ -364,9 +308,17 @@ def weighted_degree(cx: WeightedComplex, degree: int, index: int) -> float:
     """
     if degree == cx.max_degree:
         return 0.0
-    m_up = cx.weights[degree + 1]
-    total = sum(m_up[t] for _, t in cx.extensions[degree][index])
+    j, _, t = cx.topology.extension_coo(degree)
+    lo, hi = np.searchsorted(j, (index, index + 1))
+    # Python's sum adds the coface weights one by one, in coface order
+    total = sum(cx.weights[degree + 1][t[lo:hi]])
     return float(total / cx.weights[degree][index])
+
+
+def _kept(cx: WeightedComplex, masks: Sequence[np.ndarray]) -> tuple[list, list]:
+    """Simplex tables and weights of ``cx`` where the per-degree ``masks`` hold."""
+    tables = [[s for s, k in zip(table, mask.tolist()) if k] for table, mask in zip(cx.simplices, masks)]
+    return tables, [w[mask] for w, mask in zip(cx.weights, masks)]
 
 
 def induced_subcomplex(cx: WeightedComplex, region: Iterable[Vertex]) -> WeightedComplex:
@@ -376,13 +328,10 @@ def induced_subcomplex(cx: WeightedComplex, region: Iterable[Vertex]) -> Weighte
         raise ValueError("empty region")
     m0 = {v: cx.graph.m0[v] for v in cx.graph.vertices if v in region}
     m1 = {e: w for e, w in cx.graph.m1.items() if e[0] in region and e[1] in region}
-    sub = WeightedGraph(m0, m1)
-    tables, weights = [], []
-    for i in range(cx.max_degree + 1):
-        keep = [(s, w) for s, w in zip(cx.simplices[i], cx.weights[i]) if all(v in region for v in s)]
-        tables.append([s for s, _ in keep])
-        weights.append(np.array([w for _, w in keep], dtype=float))
-    return WeightedComplex(graph=sub, max_degree=cx.max_degree, simplices=tables,
+    inside = np.array([v in region for (v,) in cx.simplices[0]], dtype=bool)
+    tables, weights = _kept(cx, [inside[cx.topology.vertex_index(i)].all(axis=1)
+                                 for i in range(cx.max_degree + 1)])
+    return WeightedComplex(graph=WeightedGraph(m0, m1), max_degree=cx.max_degree, simplices=tables,
                            weights=weights, meta=dict(cx.meta, region_size=len(region)))
 
 
@@ -392,21 +341,12 @@ def drop_simplices(cx: WeightedComplex, degree: int, keep: Callable[[tuple], boo
     Cofaces of dropped simplices are dropped as well, preserving face closure.
     Dropping vertices or edges rebuilds the graph from the ones kept.
     """
-    dropped = {s for s in cx.simplices[degree] if not keep(s)}
-    tables, weights = [], []
-    for i in range(cx.max_degree + 1):
-        if i < degree:
-            tables.append(list(cx.simplices[i]))
-            weights.append(cx.weights[i].copy())
-            continue
-        pairs = [
-            (s, w) for s, w in zip(cx.simplices[i], cx.weights[i])
-            if not any(set(d) <= set(s) for d in dropped)
-        ] if i > degree else [
-            (s, w) for s, w in zip(cx.simplices[i], cx.weights[i]) if s not in dropped
-        ]
-        tables.append([s for s, _ in pairs])
-        weights.append(np.array([w for _, w in pairs], dtype=float))
+    masks = [np.ones(size, dtype=bool) for size in cx.counts()[:degree]]
+    masks.append(np.array([bool(keep(s)) for s in cx.simplices[degree]], dtype=bool))
+    for i in range(degree + 1, cx.max_degree + 1):
+        # a simplex stays exactly when all its faces stay
+        masks.append(masks[i - 1][cx.topology.face_arrays[i]].all(axis=1))
+    tables, weights = _kept(cx, masks)
     graph = cx.graph
     if degree <= 1:
         graph = WeightedGraph({v: graph.m0[v] for (v,) in tables[0]},
@@ -483,18 +423,20 @@ def complex_from_json(doc: dict) -> WeightedComplex:
     degrees without a list default to weight 1 on every clique whose faces
     are present.  The description's ``meta`` is kept.
     """
-    m0 = {_decode_vertex(item["id"]): float(item["m0"]) for item in doc["vertices"]}
-    m1 = {
-        (_decode_vertex(item["u"]), _decode_vertex(item["v"])): float(item["m1"])
-        for item in doc["edges"]
-    }
+    m0 = {_decode_vertex(item["id"]): item["m0"] for item in doc["vertices"]}
+    m1 = {}
+    for item in doc["edges"]:
+        u, v = _decode_vertex(item["u"]), _decode_vertex(item["v"])
+        m1[u, v] = _positive_weight(item["m1"], "m1({!r},{!r})", u, v)
     graph = WeightedGraph(m0, m1)
     n = int(doc["max_degree"])
     rule_doc = doc.get("weight_rule")
-    explicit = {
-        int(k): {tuple(_decode_vertex(v) for v in item["simplex"]): float(item["m"]) for item in lst}
-        for k, lst in (doc.get("weights") or {}).items()
-    }
+    explicit = {}
+    for k, lst in (doc.get("weights") or {}).items():
+        explicit[int(k)] = table = {}
+        for item in lst:
+            s = tuple(_decode_vertex(v) for v in item["simplex"])
+            table[s] = _positive_weight(item["m"], "degree-{} weight m{!r}", k, s)
 
     cx = build_clique_complex(graph, n)
     if rule_doc and rule_doc.get("kind") == "radial":

@@ -117,25 +117,24 @@ def growth_function(cx: WeightedComplex, layers: LayerDecomposition, k: int):
 
 
 def growth_table(cx: WeightedComplex, layers: LayerDecomposition, ks: Sequence[int]) -> dict:
-    """Bulk xi(k, k+1) for several k in one pass over the simplex tables."""
+    """Bulk xi(k, k+1) for several k from one forward-extension count per degree."""
     wanted = set(int(k) for k in ks)
-    layer_of = layers.layer_of
     n = cx.max_degree
+    layer = np.array([layers.layer_of[v] for (v,) in cx.simplices[0]], dtype=np.int64)
     sup: dict[tuple, tuple] = {}
     for g in range(0, n):
-        tables = cx.simplices[g]
-        for j, exts in enumerate(cx.extensions[g]):
-            s = tables[j]
-            k = min(layer_of[v] for v in s)
-            if k not in wanted:
-                continue
-            fwd = sum(1 for x, _ in exts if layer_of[x] == k + 1)
-            cur = sup.get((g, k))
-            if cur is None or fwd > cur[0]:
-                sup[(g, k)] = (fwd, s)
+        k_of = layer[cx.topology.vertex_index(g)].min(axis=1)
+        j, x, _ = cx.topology.extension_coo(g)
+        fwd = np.bincount(j[layer[x] == k_of[j] + 1], minlength=cx.size(g))
+        for k in wanted:
+            rows = np.flatnonzero(k_of == k)
+            if rows.size:
+                # argmax gives the first maximizer, the witness in index order
+                best = rows[np.argmax(fwd[rows])]
+                sup[(g, k)] = (int(fwd[best]), cx.simplices[g][best])
     out = {}
     for k in sorted(wanted):
-        if k >= layers.num_layers() or not layers.layers[k]:
+        if not 0 <= k < layers.num_layers() or not layers.layers[k]:
             out[k] = (None, {})
             continue
         breakdown = {g: sup.get((g, k), (0, None)) for g in range(0, n)}

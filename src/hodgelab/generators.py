@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -294,8 +295,8 @@ def estimate_offspring_tree_size(off_spec, depth: int, tet_parity: int = 0) -> i
 
 def radial_weighting(cx: WeightedComplex, base: Iterable, alpha: float) -> WeightedComplex:
     """Replace every weight by (1 + max vertex distance from ``base``)^(-alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha = {alpha} must be finite and positive")
     base = set(base)
     if not base:
         raise ValueError("base set must be nonempty")

@@ -142,17 +142,14 @@ def gauss_bonnet_apply(cx: WeightedComplex, F: tuple) -> tuple:
 
 
 def coboundary_matrix(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
-    """d_degree as a |P_{degree+1}| x |P_degree| signed incidence matrix."""
+    """d_degree as a |P_{degree+1}| x |P_degree| signed incidence matrix.
+
+    The matrix is built once per topology and shared by every reweighting of
+    ``cx``; its ``data``, ``indices`` and ``indptr`` are read-only.
+    """
     if not 0 <= degree < cx.max_degree:
         raise ValueError(f"coboundary degree {degree} out of range")
-    rows, cols, data = [], [], []
-    for t, row in enumerate(cx.faces[degree + 1]):
-        for l, s in row:
-            rows.append(t)
-            cols.append(s)
-            data.append(1.0 if l % 2 == 0 else -1.0)
-    shape = (cx.size(degree + 1), cx.size(degree))
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+    return cx.topology.incidence(degree)
 
 
 def _weight_diags(cx: WeightedComplex, degree: int):
@@ -275,11 +272,12 @@ def export_coordinate_text(matrix: sp.spmatrix, target) -> None:
     """
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
+    rows, cols, vals = (coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(), coo.data[order].tolist()
 
     def emit(fh):
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for k in order:
-            fh.write(f"{coo.row[k] + 1} {coo.col[k] + 1} {coo.data[k]:.17g}\n")
+        for r, c, v in zip(rows, cols, vals):
+            fh.write(f"{r} {c} {v:.17g}\n")
 
     if hasattr(target, "write"):
         emit(target)

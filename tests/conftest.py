@@ -15,6 +15,18 @@ def unit_graph(vertices, edges):
     return WeightedGraph({v: 1.0 for v in vertices}, {e: 1.0 for e in edges})
 
 
+def k3_description(m0=1.0, m1=1.0, m=1.0):
+    """K3 with its triangle listed; the given weights go on vertex a, edge
+    a-b and the triangle."""
+    return {
+        "vertices": [{"id": v, "m0": m0 if v == "a" else 1.0} for v in "abc"],
+        "edges": [{"u": "a", "v": "b", "m1": m1}, {"u": "a", "v": "c", "m1": 1.0},
+                  {"u": "b", "v": "c", "m1": 1.0}],
+        "max_degree": 2,
+        "weights": {"2": [{"simplex": ["a", "b", "c"], "m": m}]},
+    }
+
+
 @pytest.fixture
 def K3():
     return build_clique_complex(unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 2)

@@ -107,3 +107,52 @@ def cutoff_energy_sup(tables, weights, chi, degree):
         if value > best:
             best, witness = value, s
     return best, witness
+
+
+def verify_face_closure(cx):
+    """Every face of a stored simplex is stored."""
+    for i in range(1, cx.max_degree + 1):
+        lower = set(cx.simplices[i - 1])
+        for s in cx.simplices[i]:
+            for face in itertools.combinations(s, i):
+                if face not in lower:
+                    raise AssertionError(f"missing face {face!r} of {s!r}")
+
+
+def verify_clique_soundness(cx):
+    """Every vertex pair of every stored simplex is an edge of positive weight."""
+    for i in range(1, cx.max_degree + 1):
+        for s in cx.simplices[i]:
+            for e in itertools.combinations(s, 2):
+                if not cx.graph.m1.get(e, 0.0) > 0:
+                    raise AssertionError(f"simplex {s!r} has non-edge {e!r}")
+
+
+def cofaces(tables, degree):
+    """Per degree-``degree`` simplex s, the ``(x, t)`` pairs with
+    ``tables[degree+1][t]`` the vertex set of s plus x, in table order.
+
+    Each coface is found as the superset of its ``degree+2`` subsets of one
+    vertex fewer.
+    """
+    out = [[] for _ in tables[degree]]
+    if degree + 1 >= len(tables):
+        return out
+    pos = {s: j for j, s in enumerate(tables[degree])}
+    for t, up in enumerate(tables[degree + 1]):
+        for x in up:
+            out[pos[tuple(v for v in up if v != x)]].append((x, t))
+    return out
+
+
+def growth_sups(tables, layer_of, degree):
+    """{k: (sup, witness)} over degree-``degree`` simplices with minimum vertex
+    layer k of the count of cofaces whose added vertex lies in layer k+1; the
+    witness is the first maximizer in table order."""
+    out = {}
+    for s, ext in zip(tables[degree], cofaces(tables, degree)):
+        k = min(layer_of[v] for v in s)
+        fwd = sum(1 for x, _ in ext if layer_of[x] == k + 1)
+        if k not in out or fwd > out[k][0]:
+            out[k] = (fwd, s)
+    return out

@@ -47,7 +47,7 @@ from hodgelab.operators import (
 from hodgelab.spectral import esa_sweep, hodge_decompose, kernel_probe
 
 from conftest import unit_graph
-from oracles import betti_by_rank
+from oracles import betti_by_rank, cofaces
 
 TOL_EXACT = 1e-12
 TOL_ACCUM = 1e-10
@@ -151,7 +151,7 @@ def _lattice_profile(cx, k_lo, k_hi, width=1):
 
 
 def _max_cofaces(cx, degree):
-    return max((len(exts) for exts in cx.extensions[degree]), default=0)
+    return max((len(ext) for ext in cofaces(cx.simplices, degree)), default=0)
 
 
 def test_criterion_4a_unperturbed_lattice_bounded():

@@ -29,7 +29,7 @@ from hodgelab.generators import (
 )
 from hodgelab.operators import coboundary_apply, random_cochain
 
-from oracles import cutoff_energy_sup
+from oracles import cofaces, cutoff_energy_sup
 
 
 def line(radius=10):
@@ -235,12 +235,12 @@ def test_coupling_block_perturbed_lattice_rank_oracle():
     # so the rank equals the number of region-side simplices coupled across
     coupled_in = set()
     for i in range(cx.max_degree):
-        for j, exts in enumerate(cx.extensions[i]):
+        uppers = cx.simplices[i + 1]
+        for j, ext in enumerate(cofaces(cx.simplices, i)):
             s = cx.simplices[i][j]
             if not all(v in region for v in s):
                 continue
-            uppers = cx.simplices[i + 1]
-            if any(not all(v in region for v in uppers[t]) for _, t in exts):
+            if any(not all(v in region for v in uppers[t]) for _, t in ext):
                 coupled_in.add((i, j))
     assert rep.rank == len(coupled_in)
     assert rep.cross_simplices > 0
@@ -281,11 +281,11 @@ def _explicit_delta_remainder(cx, chi, g):
     j = g.degree
     out = np.zeros(cx.size(j - 1))
     upper = cx.simplices[j]
-    for s_idx, exts in enumerate(cx.extensions[j - 1]):
+    for s_idx, ext in enumerate(cofaces(cx.simplices, j - 1)):
         s = cx.simplices[j - 1][s_idx]
         bar = sum(chi.get(v, 0.0) for v in s) / len(s)
         acc = 0.0
-        for x, t in exts:
+        for x, t in ext:
             l = upper[t].index(x)
             gval = ((-1) ** l) * g.values[t]
             acc += cx.weights[j][t] * (chi.get(x, 0.0) - bar) * gval

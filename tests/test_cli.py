@@ -6,6 +6,8 @@ import pytest
 from hodgelab.cli import main
 from hodgelab.complexes import complex_from_json
 
+from conftest import k3_description
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -265,3 +267,14 @@ def test_divergence_unbounded_formula_is_refused(capsys):
     code, _, err = run(capsys, "divergence", "--xi", "9^9^9", "--k-range", "1..2")
     assert time.perf_counter() - start < 1.0
     assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("bad", [-3.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("field,name", [("m0", "m0('a')"), ("m1", "m1('a','b')"),
+                                        ("m", "degree-2 weight m('a', 'b', 'c')")])
+def test_weights_not_finite_and_positive_are_refused(tmp_path, capsys, field, name, bad):
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(k3_description(**{field: bad})))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert f"error: {name} = " in err and "must be finite and positive" in err

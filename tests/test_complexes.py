@@ -1,8 +1,11 @@
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hodgelab import (
     WeightedGraph,
@@ -14,10 +17,21 @@ from hodgelab import (
     induced_subcomplex,
     weighted_degree,
 )
+from hodgelab.complexes import Topology, reweighted
+from hodgelab.divergence import LayerDecomposition, growth_table
 from hodgelab.generators import gen_lattice
+from hodgelab.operators import coboundary_matrix
 
-from conftest import unit_graph
-from oracles import clique_counts, permutation_sign
+from conftest import k3_description, unit_graph
+from oracles import (
+    boundary_matrix,
+    clique_counts,
+    cofaces,
+    growth_sups,
+    permutation_sign,
+    verify_clique_soundness,
+    verify_face_closure,
+)
 
 
 def test_k3_counts(K3):
@@ -42,8 +56,8 @@ def test_counts_match_bruteforce_random_graphs(seed):
     edges = [(u, v) for u, v in itertools.combinations(vs, 2) if rng.random() < 0.4]
     cx = build_clique_complex(unit_graph(vs, edges), 3)
     assert cx.counts() == clique_counts(vs, edges, 3)
-    cx.verify_face_closure()
-    cx.verify_clique_soundness()
+    verify_face_closure(cx)
+    verify_clique_soundness(cx)
 
 
 def test_weighted_degree_k3(K3):
@@ -78,8 +92,8 @@ def test_canonical_sign_matches_oracle(seed):
 def test_canonical_sign_roundtrip(K4):
     # evaluating through the sign is independent of the input ordering
     for perm in itertools.permutations(("a", "b", "c")):
-        simplex, sign = K4.canonical_simplex(perm)
-        assert simplex.vertices == ("a", "b", "c")
+        key, sign = canonical_sign(perm)
+        assert K4.index_of(2, key) == K4.simplices[2].index(("a", "b", "c"))
         assert sign == permutation_sign(perm)
 
 
@@ -100,23 +114,16 @@ def test_extensions_are_graph_common_neighbors_on_clique_complex(K4):
     # on a full clique complex the coface extensions at degree < n are exactly
     # the graph common neighbors
     for degree in range(K4.max_degree):
-        for j, s in enumerate(K4.simplices[degree]):
-            ext = {x for x, _ in K4.extensions[degree][j]}
+        j, x, _ = K4.topology.extension_coo(degree)
+        for idx, s in enumerate(K4.simplices[degree]):
+            ext = {K4.simplices[0][p][0] for p in x[j == idx]}
             assert ext == K4.graph.common_neighbors(s)
-
-
-def test_simplex_neighbors_share_all_but_one(K4):
-    idx = K4.index_of(1, ("a", "b"))
-    nbrs = K4.simplex_neighbors(1, idx)
-    shared = [K4.simplices[1][t] for t in nbrs]
-    assert all(len(set(s) & {"a", "b"}) == 1 for s in shared)
-    assert len(shared) == 4  # every other edge of K4 except the opposite one
 
 
 def test_induced_subcomplex_k4_to_k3(K4):
     sub = induced_subcomplex(K4, {"a", "b", "c"})
     assert sub.counts() == (3, 3, 1, 0)  # ambient max degree kept, top empty
-    sub.verify_face_closure()
+    verify_face_closure(sub)
     with pytest.raises(ValueError):
         induced_subcomplex(K4, set())
 
@@ -164,3 +171,118 @@ def test_json_default_weights_are_one():
     cx = complex_from_json(doc)
     assert cx.counts() == (3, 3, 1)
     assert cx.weights[2][0] == 1.0
+
+
+BAD_WEIGHTS = [-3.0, 0.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS)
+@pytest.mark.parametrize("field,name", [("m0", "m0('a')"), ("m1", "m1('a','b')"),
+                                        ("m", "degree-2 weight m('a', 'b', 'c')")])
+def test_description_weights_must_be_finite_and_positive(field, name, bad):
+    assert complex_from_json(k3_description()).counts() == (3, 3, 1)
+    with pytest.raises(ValueError, match=re.escape(name) + " = .* must be finite and positive"):
+        complex_from_json(k3_description(**{field: bad}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_graph_and_rule_weights_must_be_finite(bad):
+    with pytest.raises(ValueError, match=re.escape("m0('a')")):
+        WeightedGraph({"a": bad, "b": 1.0}, {("a", "b"): 1.0})
+    with pytest.raises(ValueError, match=re.escape("m1('a','b')")):
+        WeightedGraph({"a": 1.0, "b": 1.0}, {("a", "b"): bad})
+    g = unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")])
+    with pytest.raises(ValueError, match=re.escape("('a', 'b', 'c')")):
+        build_clique_complex(g, 2, lambda s: bad)
+
+
+def test_zero_edge_weight_means_no_edge():
+    g = WeightedGraph({"a": 1.0, "b": 1.0}, {("a", "b"): 0.0})
+    assert g.m1 == {} and g.adjacency == {"a": set(), "b": set()}
+
+
+@st.composite
+def weighted_graph_complexes(draw):
+    """A clique complex of max degree 1 to 4 on a random graph with up to 9
+    vertices, whose integer labels skip values so that labels and table
+    positions differ; weights in [0.1, 10] on every simplex."""
+    labels = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=9)))
+    pairs = list(itertools.combinations(labels, 2))
+    keep = draw(st.lists(st.sampled_from([True, True, False]), min_size=len(pairs),
+                         max_size=len(pairs)))
+    weight = st.floats(0.1, 10.0)
+    m0 = {v: draw(weight) for v in labels}
+    m1 = {p: draw(weight) for p, k in zip(pairs, keep) if k}
+    cx = build_clique_complex(WeightedGraph(m0, m1), draw(st.integers(1, 4)))
+    upper = [draw(st.lists(weight, min_size=size, max_size=size)) for size in cx.counts()[2:]]
+    return reweighted(cx, list(cx.weights[:2]) + upper)
+
+
+def _flags(data, table):
+    return data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table)))
+
+
+def _expected_kept(cx, keep):
+    """Tables and weights of the simplices passing ``keep(vertex set)``."""
+    tables = [[s for s in table if keep(set(s))] for table in cx.simplices]
+    weights = [[w for s, w in zip(table, ws.tolist()) if keep(set(s))]
+               for table, ws in zip(cx.simplices, cx.weights)]
+    return tables, weights
+
+
+@given(weighted_graph_complexes(), st.data())
+def test_topology_arrays_match_oracles(cx, data):
+    tables, top = cx.simplices, cx.topology
+    vertex_pos = {v: p for p, (v,) in enumerate(tables[0])}
+    for i in range(cx.max_degree + 1):
+        F = top.face_arrays[i]
+        assert F.dtype == np.int64 and F.shape == (len(tables[i]), i + 1 if i else 0)
+        assert not F.flags.writeable and not top.vertex_index(i).flags.writeable
+        if i:
+            pos = {s: j for j, s in enumerate(tables[i - 1])}
+            assert F.tolist() == [[pos[s[:l] + s[l + 1:]] for l in range(i + 1)] for s in tables[i]]
+        assert top.vertex_index(i).tolist() == [[vertex_pos[v] for v in s] for s in tables[i]]
+        j, x, t = top.extension_coo(i)
+        assert list(zip(j.tolist(), x.tolist(), t.tolist())) == [
+            (k, vertex_pos[v], up) for k, ext in enumerate(cofaces(tables, i)) for v, up in ext]
+        if i < cx.max_degree:
+            d = coboundary_matrix(cx, i)
+            assert np.array_equal(d.toarray(), boundary_matrix(tables[i], tables[i + 1]).T)
+            assert coboundary_matrix(reweighted(cx, cx.weights), i) is d
+            for a in (d.data, d.indices, d.indptr):
+                with pytest.raises(ValueError):
+                    a[:1] = 0
+
+    for degree in range(cx.max_degree + 1):
+        flags = dict(zip(tables[degree], _flags(data, tables[degree])))
+        dropped = [set(s) for s, f in flags.items() if not f]
+        got = drop_simplices(cx, degree, flags.__getitem__)
+        want_tables, want_weights = _expected_kept(cx, lambda s: not any(d <= s for d in dropped))
+        assert got.simplices == want_tables
+        assert [w.tolist() for w in got.weights] == want_weights
+        if degree <= 1:
+            assert got.graph.vertices == [v for (v,) in want_tables[0]]
+            assert sorted(got.graph.m1) == want_tables[1]
+
+    region = {v for v, f in zip(vertex_pos, _flags(data, tables[0])) if f} or {tables[0][0][0]}
+    sub = induced_subcomplex(cx, region)
+    want_tables, want_weights = _expected_kept(cx, lambda s: s <= region)
+    assert sub.simplices == want_tables
+    assert [w.tolist() for w in sub.weights] == want_weights
+
+    layer_of = {v: data.draw(st.integers(0, 3)) for v in vertex_pos}
+    layers = LayerDecomposition(layer_of)
+    table = growth_table(cx, layers, range(-1, 6))
+    sups = [growth_sups(tables, layer_of, g) for g in range(cx.max_degree)]
+    for k, (xi, breakdown) in table.items():
+        if not 0 <= k < layers.num_layers() or not layers.layers[k]:
+            assert (xi, breakdown) == (None, {})
+            continue
+        assert breakdown == {g: sups[g].get(k, (0, None)) for g in range(cx.max_degree)}
+        assert all(type(sup) is int for sup, _ in breakdown.values())
+        assert xi == float(sum(sup for sup, _ in breakdown.values()))
+
+
+def test_topology_refuses_tables_without_their_faces():
+    with pytest.raises(ValueError, match="not closed under faces"):
+        Topology([[("a",), ("b",), ("c",)], [("a", "b")], [("a", "b", "c")]], 2)

@@ -16,7 +16,7 @@ from hodgelab.generators import (
     radial_weighting,
 )
 
-from oracles import clique_counts
+from oracles import clique_counts, verify_clique_soundness, verify_face_closure
 
 
 def test_line_lattice():
@@ -50,7 +50,7 @@ def test_perturbed_lattice_filters_top_degree():
     assert pert.counts()[:2] == full.counts()[:2]
     inside = [s for s in full.simplices[2] if all(v in region for v in s)]
     assert pert.counts()[2] == len(inside)
-    pert.verify_face_closure()
+    verify_face_closure(pert)
 
 
 def test_perturbed_lattice_trivial_regions():
@@ -68,8 +68,8 @@ def test_alternating_triangulation_counts():
         1 for i in (-1, 0) for j in (-1, 0) if (i + j) % 2 == 0
     )
     assert cx.counts()[2] == 2 * even_squares
-    cx.verify_face_closure()
-    cx.verify_clique_soundness()
+    verify_face_closure(cx)
+    verify_clique_soundness(cx)
 
 
 def test_alternating_triangulation_odd_squares_hollow():
@@ -85,7 +85,7 @@ def test_truncated_tree_counts():
     for n_tri in (1, 2, 3):
         cx = gen_truncated_tree(n_tri, n_tri + 2)
         assert cx.counts()[2] == 2 ** (n_tri + 1) - 1
-        cx.verify_clique_soundness()
+        verify_clique_soundness(cx)
 
 
 def test_offspring_tree_tetra_parity():
@@ -93,8 +93,8 @@ def test_offspring_tree_tetra_parity():
     tet_depths = {min(len(v) for v in s) for s in cx.simplices[3]}
     assert tet_depths == {0, 2}
     assert all(d % 2 == 0 for d in tet_depths)
-    cx.verify_face_closure()
-    cx.verify_clique_soundness()
+    verify_face_closure(cx)
+    verify_clique_soundness(cx)
 
 
 def test_offspring_tree_depth_zero():
@@ -170,5 +170,6 @@ def test_radial_weighting_base_covers_everything(K3):
 def test_radial_weighting_rejects_bad_input(K3):
     with pytest.raises(ValueError):
         radial_weighting(K3, set(), 1.0)
-    with pytest.raises(ValueError):
-        radial_weighting(K3, {"a"}, -1.0)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            radial_weighting(K3, {"a"}, alpha)

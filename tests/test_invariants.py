@@ -26,6 +26,7 @@ from hodgelab.operators import (
 from hodgelab.spectral import hodge_decompose
 
 from conftest import unit_graph
+from oracles import verify_clique_soundness, verify_face_closure
 
 
 ALL_GENERATORS = [
@@ -44,8 +45,8 @@ ALL_GENERATORS = [
 @pytest.mark.parametrize("name,make", ALL_GENERATORS)
 def test_generator_outputs_pass_core_invariants(name, make):
     cx = make()
-    cx.verify_face_closure()
-    cx.verify_clique_soundness()
+    verify_face_closure(cx)
+    verify_clique_soundness(cx)
     for i in range(cx.max_degree + 1):
         assert np.all(cx.weights[i] > 0)
         table = cx.simplices[i]
