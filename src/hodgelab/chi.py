@@ -77,15 +77,13 @@ class Exhaustion:
 
 def make_ball_exhaustion(cx: WeightedComplex, roots: Iterable, k_max: int) -> Exhaustion:
     """Graph-distance balls around ``roots``; unreachable vertices are
-    excluded and reported on the result."""
+    excluded and reported on the result.  A root that is not a vertex of
+    ``cx`` raises ``ValueError``."""
     roots = tuple(sorted(set(roots)))
     if not roots:
         raise ValueError("roots must be nonempty")
-    for r in roots:
-        if r not in cx.graph.m0:
-            raise ValueError(f"root {r!r} not in complex")
-    dist = cx.graph.distances_from(roots)
-    excluded = tuple(v for v in cx.graph.vertices if v not in dist)
+    dist = cx.topology.distances_from(roots)
+    excluded = tuple(v for v in cx.topology.vertices if v not in dist)
     return Exhaustion(roots=roots, k_max=int(k_max), dist=dist, excluded=excluded)
 
 

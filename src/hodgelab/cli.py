@@ -96,7 +96,7 @@ def cmd_generate(args) -> int:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     if args.radial_alpha is not None:
-        base = {cx.graph.vertices[0]} if kind in ("tree", "offspring-tree") else {(0,) * args.d}
+        base = {cx.topology.vertices[0]} if kind in ("tree", "offspring-tree") else {(0,) * args.d}
         cx = gen.radial_weighting(cx, base, args.radial_alpha)
     doc = complex_to_json(cx)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -124,7 +124,7 @@ def cmd_assemble(args) -> int:
 def _roots_for(cx, args):
     if args.roots:
         return {_decode(v) for v in json.loads(args.roots)}
-    return {cx.graph.vertices[0]}
+    return {cx.topology.vertices[0]}
 
 
 def cmd_chi(args) -> int:

@@ -64,14 +64,14 @@ def _positive_weight(w, what: str, *args) -> float:
 
 
 class WeightedGraph:
-    """Locally finite weighted graph (V, m0, m1).
+    """Locally finite weighted graph (V, m0, m1), the validated input of
+    ``build_clique_complex``; the complex keeps its weights, not the graph.
 
     ``m0`` maps each vertex to a positive weight; ``m1`` is a symmetric edge
-    weight, and an edge exists exactly where ``m1 > 0``.  Loops are rejected
-    unless ``allow_loops`` is set.
+    weight, and an edge exists exactly where ``m1 > 0``.  Loops are rejected.
     """
 
-    def __init__(self, m0: Mapping[Vertex, float], m1: Mapping[tuple, float], allow_loops: bool = False):
+    def __init__(self, m0: Mapping[Vertex, float], m1: Mapping[tuple, float]):
         try:
             self.vertices = sorted(m0)
         except TypeError:
@@ -84,9 +84,7 @@ class WeightedGraph:
             if not 0 <= w < math.inf:
                 raise ValueError(f"m1({u!r},{v!r}) = {w} must be finite and nonnegative")
             if u == v:
-                if not allow_loops:
-                    raise ValueError(f"loop at {u!r} not allowed")
-                continue
+                raise ValueError(f"loop at {u!r} not allowed")
             if u not in self.m0 or v not in self.m0:
                 raise ValueError(f"edge ({u!r},{v!r}) references unknown vertex")
             key = (u, v) if u < v else (v, u)
@@ -97,31 +95,6 @@ class WeightedGraph:
                 self.m1[key] = w
                 self.adjacency[key[0]].add(key[1])
                 self.adjacency[key[1]].add(key[0])
-
-    def common_neighbors(self, vertices: Iterable[Vertex]) -> set:
-        vs = list(vertices)
-        if not vs:
-            return set()
-        out = set(self.adjacency[vs[0]])
-        for v in vs[1:]:
-            out &= self.adjacency[v]
-        return out
-
-    def distances_from(self, roots: Iterable[Vertex]) -> dict:
-        """Graph distance to a root set by BFS; unreachable vertices absent."""
-        dist = {r: 0 for r in roots}
-        frontier = list(dist)
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in self.adjacency[v]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
 
 
 class Topology:
@@ -134,15 +107,18 @@ class Topology:
     ``face_arrays[0]`` has no columns).  The coface extensions
     (``extension_coo``) and the signed incidence matrices (``incidence``) are
     derived from the face arrays on first use and cached; ``vertex_index``
-    holds the vertex positions the faces were looked up by.  Every
-    reweighting of a complex shares its topology.
+    holds the vertex positions the faces were looked up by.  ``vertices``
+    lists the degree-0 labels, and the degree-1 simplices give the graph
+    distances (``distances_from``).  Every reweighting of a complex shares
+    its topology.
     """
 
     def __init__(self, simplices: list[list[tuple]], max_degree: int):
         self.max_degree = max_degree
+        self.vertices: list = [v for (v,) in simplices[0]]
         self.index: list[dict] = [{s: j for j, s in enumerate(table)} for table in simplices]
         n0 = len(simplices[0])
-        position = {v: j for j, (v,) in enumerate(simplices[0])}
+        position = {v: j for j, v in enumerate(self.vertices)}
         self._vertex_index = [np.arange(n0, dtype=np.int64).reshape(-1, 1)]
         self.face_arrays: list[np.ndarray] = [np.zeros((n0, 0), dtype=np.int64)]
         # codes[i] codes each degree-i simplex as (index of its face omitting the
@@ -168,11 +144,36 @@ class Topology:
             a.setflags(write=False)
         self._extension_coo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._incidence: dict[int, sp.csr_matrix] = {}
+        self._adjacency: sp.csr_matrix | None = None
 
     def vertex_index(self, degree: int) -> np.ndarray:
         """``(N_degree, degree+1)`` int64 array of vertex positions (into the
         degree-0 table) of every degree-``degree`` simplex, read-only."""
         return self._vertex_index[degree]
+
+    def distances_from(self, roots: Iterable[Vertex]) -> dict:
+        """``{label: graph distance to roots}`` over the degree-1 simplices, in
+        table order; unreachable vertices are absent.  A root that is not a
+        vertex raises ``ValueError``."""
+        try:
+            sources = [self.index[0][(r,)] for r in roots]
+        except KeyError as err:
+            raise ValueError(f"root {err.args[0][0]!r} not in complex") from None
+        if self._adjacency is None:
+            u, v = self._vertex_index[1].T
+            self._adjacency = sp.csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
+                                            shape=(len(self.vertices),) * 2)
+        indptr, indices = self._adjacency.indptr, self._adjacency.indices
+        # breadth-first, one layer of the whole frontier at a time
+        dist = np.full(len(self.vertices), -1, dtype=np.int64)
+        frontier, d = np.unique(np.array(sources, dtype=np.int64)), 0
+        while frontier.size:
+            dist[frontier] = d
+            starts, counts = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+            nbrs = indices[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+            frontier, d = np.unique(nbrs[dist[nbrs] < 0]), d + 1
+        reached = np.flatnonzero(dist >= 0)
+        return dict(zip(map(self.vertices.__getitem__, reached.tolist()), dist[reached].tolist()))
 
     def extension_coo(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(j, x, t)`` int64 arrays, one entry per coface: vertex position
@@ -214,26 +215,32 @@ class Topology:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightedComplex:
     """Finite weighted clique complex with per-degree canonical tables.
 
     ``simplices[i]`` lists degree-i simplices as sorted vertex tuples in
-    lexicographic order; ``weights[i]`` is the aligned positive weight vector.
-    ``index`` is that of ``topology`` (see ``Topology``), which is built from
-    the tables unless one is passed in.  Immutable after construction.
+    lexicographic order; ``weights[i]`` is the aligned positive weight vector,
+    the only copy of every weight (the graph's m0 and m1 are ``weights[0]``
+    and ``weights[1]``).  ``index`` is that of ``topology`` (see
+    ``Topology``), which is built from the tables unless one is passed in.
+    Immutable after construction; ``==`` is identity.
     """
 
-    graph: WeightedGraph
     max_degree: int
     simplices: list[list[tuple]]
     weights: list[np.ndarray]
     meta: dict = field(default_factory=dict)
-    topology: Topology | None = field(default=None, compare=False, repr=False)
+    topology: Topology | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.topology is None:
             self.topology = Topology(self.simplices, self.max_degree)
+
+    @property
+    def graph(self) -> Topology:
+        """Read-only alias of ``topology``, for callers of ``graph.vertices``."""
+        return self.topology
 
     @property
     def index(self) -> list[dict]:
@@ -256,19 +263,10 @@ class WeightedComplex:
         return idx
 
 
-def _resolve_weight(rule, vertices: tuple) -> float:
-    if rule is None:
-        return 1.0
-    w = rule(vertices) if callable(rule) else rule[len(vertices) - 1][vertices]
-    return _positive_weight(w, "weight rule on {!r}", vertices)
-
-
-def build_clique_complex(graph: WeightedGraph, n: int, weight_rule=None) -> WeightedComplex:
+def build_clique_complex(graph: WeightedGraph, n: int) -> WeightedComplex:
     """Enumerate all cliques of up to n+1 vertices as the degree <= n simplices.
 
-    ``weight_rule`` assigns weights to simplices of degree >= 2 (degrees 0 and
-    1 always carry the graph's m0/m1); it may be None (constant 1), a callable
-    on the sorted vertex tuple, or a per-degree mapping ``{degree: {tuple: w}}``.
+    Degrees 0 and 1 carry the graph's m0 and m1, higher degrees weight 1.
     """
     if n < 1:
         raise ValueError("max degree n must be >= 1")
@@ -279,26 +277,23 @@ def build_clique_complex(graph: WeightedGraph, n: int, weight_rule=None) -> Weig
     tables.append(list(edges))
     weights.append(np.array([graph.m1[e] for e in edges], dtype=float))
 
+    adjacency = graph.adjacency
     level = edges
-    level_cn = [
-        sorted(x for x in graph.common_neighbors(e) if x > e[-1]) for e in edges
-    ]
+    level_cn = [sorted(x for x in adjacency[u] & adjacency[v] if x > v) for u, v in edges]
     for degree in range(2, n + 1):
         nxt: list[tuple] = []
         nxt_cn: list[list] = []
         for s, cn in zip(level, level_cn):
-            adj_last = graph.adjacency
             for x in cn:
-                t = s + (x,)
-                nxt.append(t)
-                nxt_cn.append([y for y in cn if y > x and y in adj_last[x]])
+                nxt.append(s + (x,))
+                nxt_cn.append([y for y in cn if y > x and y in adjacency[x]])
         order = sorted(range(len(nxt)), key=nxt.__getitem__)
         level = [nxt[k] for k in order]
         level_cn = [nxt_cn[k] for k in order]
         tables.append(level)
-        weights.append(np.array([_resolve_weight(weight_rule, s) for s in level], dtype=float))
+        weights.append(np.ones(len(level)))
 
-    return WeightedComplex(graph=graph, max_degree=n, simplices=tables, weights=weights)
+    return WeightedComplex(max_degree=n, simplices=tables, weights=weights)
 
 
 def weighted_degree(cx: WeightedComplex, degree: int, index: int) -> float:
@@ -315,8 +310,16 @@ def weighted_degree(cx: WeightedComplex, degree: int, index: int) -> float:
     return float(total / cx.weights[degree][index])
 
 
-def _kept(cx: WeightedComplex, masks: Sequence[np.ndarray]) -> tuple[list, list]:
-    """Simplex tables and weights of ``cx`` where the per-degree ``masks`` hold."""
+def _kept(cx: WeightedComplex, listed: Mapping[int, np.ndarray]) -> tuple[list, list]:
+    """Simplex tables and weights of ``cx`` that stay under the per-degree
+    masks ``listed``: a simplex stays when all its faces stay and its
+    degree's mask, if there is one, holds."""
+    masks: list[np.ndarray] = []
+    for i in range(cx.max_degree + 1):
+        mask = masks[i - 1][cx.topology.face_arrays[i]].all(axis=1) if i else np.ones(cx.size(0), bool)
+        if i in listed:
+            mask &= listed[i]
+        masks.append(mask)
     tables = [[s for s, k in zip(table, mask.tolist()) if k] for table, mask in zip(cx.simplices, masks)]
     return tables, [w[mask] for w, mask in zip(cx.weights, masks)]
 
@@ -326,33 +329,19 @@ def induced_subcomplex(cx: WeightedComplex, region: Iterable[Vertex]) -> Weighte
     region = set(region)
     if not region:
         raise ValueError("empty region")
-    m0 = {v: cx.graph.m0[v] for v in cx.graph.vertices if v in region}
-    m1 = {e: w for e, w in cx.graph.m1.items() if e[0] in region and e[1] in region}
-    inside = np.array([v in region for (v,) in cx.simplices[0]], dtype=bool)
-    tables, weights = _kept(cx, [inside[cx.topology.vertex_index(i)].all(axis=1)
-                                 for i in range(cx.max_degree + 1)])
-    return WeightedComplex(graph=WeightedGraph(m0, m1), max_degree=cx.max_degree, simplices=tables,
-                           weights=weights, meta=dict(cx.meta, region_size=len(region)))
+    tables, weights = _kept(cx, {0: np.array([v in region for v in cx.topology.vertices], dtype=bool)})
+    return WeightedComplex(max_degree=cx.max_degree, simplices=tables, weights=weights,
+                           meta=dict(cx.meta, region_size=len(region)))
 
 
 def drop_simplices(cx: WeightedComplex, degree: int, keep: Callable[[tuple], bool]) -> WeightedComplex:
     """New complex without the degree-``degree`` simplices failing ``keep``.
 
     Cofaces of dropped simplices are dropped as well, preserving face closure.
-    Dropping vertices or edges rebuilds the graph from the ones kept.
     """
-    masks = [np.ones(size, dtype=bool) for size in cx.counts()[:degree]]
-    masks.append(np.array([bool(keep(s)) for s in cx.simplices[degree]], dtype=bool))
-    for i in range(degree + 1, cx.max_degree + 1):
-        # a simplex stays exactly when all its faces stay
-        masks.append(masks[i - 1][cx.topology.face_arrays[i]].all(axis=1))
-    tables, weights = _kept(cx, masks)
-    graph = cx.graph
-    if degree <= 1:
-        graph = WeightedGraph({v: graph.m0[v] for (v,) in tables[0]},
-                              {e: graph.m1[e] for e in tables[1]})
-    return WeightedComplex(graph=graph, max_degree=cx.max_degree,
-                           simplices=tables, weights=weights, meta=dict(cx.meta))
+    tables, weights = _kept(cx, {degree: np.array([bool(keep(s)) for s in cx.simplices[degree]], dtype=bool)})
+    return WeightedComplex(max_degree=cx.max_degree, simplices=tables, weights=weights,
+                           meta=dict(cx.meta))
 
 
 def reweighted(cx: WeightedComplex, weights: Sequence[np.ndarray],
@@ -360,19 +349,22 @@ def reweighted(cx: WeightedComplex, weights: Sequence[np.ndarray],
     """Same simplex tables and topology with ``weights[i]`` on degree i.
 
     ``weights[i]`` is aligned with ``cx.simplices[i]``; compute it from
-    ``cx.topology.vertex_index(i)``.  The graph carries the new degree-0 and
-    degree-1 weights, with its vertices and edges in the order of ``cx.graph``.
+    ``cx.topology.vertex_index(i)``.  Every weight must be finite and
+    positive; the first one that is not raises ``ValueError`` naming its
+    degree and simplex.
     """
     weights = [np.array(w, dtype=float) for w in weights]
     if [len(w) for w in weights] != list(cx.counts()):
         raise ValueError("weights must give one value per simplex of every degree")
-    edge_index = cx.index[1]
-    w0, w1 = weights[0].tolist(), weights[1].tolist()
-    graph = WeightedGraph(dict(zip(cx.graph.vertices, w0)),
-                          {e: w1[edge_index[e]] for e in cx.graph.m1})
+    for i, w in enumerate(weights):
+        bad = np.flatnonzero(~((w > 0) & (w < math.inf)))
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"degree-{i} weight m{cx.simplices[i][j]!r} = {w[j]} "
+                             "must be finite and positive")
     new_meta = dict(cx.meta)
     new_meta.update(meta or {})
-    return WeightedComplex(graph=graph, max_degree=cx.max_degree, simplices=cx.simplices,
+    return WeightedComplex(max_degree=cx.max_degree, simplices=cx.simplices,
                            weights=weights, meta=new_meta, topology=cx.topology)
 
 
@@ -389,11 +381,10 @@ def _decode_vertex(v):
 def complex_to_json(cx: WeightedComplex) -> dict:
     """Complex description document (vertices/edges/max_degree/weights)."""
     doc = {
-        "vertices": [{"id": _encode_vertex(v), "m0": cx.graph.m0[v]} for v in cx.graph.vertices],
-        "edges": [
-            {"u": _encode_vertex(u), "v": _encode_vertex(v), "m1": w}
-            for (u, v), w in sorted(cx.graph.m1.items())
-        ],
+        "vertices": [{"id": _encode_vertex(v), "m0": w}
+                     for (v,), w in zip(cx.simplices[0], cx.weights[0].tolist())],
+        "edges": [{"u": _encode_vertex(u), "v": _encode_vertex(v), "m1": w}
+                  for (u, v), w in zip(cx.simplices[1], cx.weights[1].tolist())],
         "max_degree": cx.max_degree,
         "weights": {
             str(i): [
@@ -421,7 +412,9 @@ def complex_from_json(doc: dict) -> WeightedComplex:
 
     Explicit per-degree weight lists define that degree's simplices exactly;
     degrees without a list default to weight 1 on every clique whose faces
-    are present.  The description's ``meta`` is kept.
+    are present.  A ``weight_rule`` of kind ``radial`` replaces every weight
+    instead, and any other rule is refused.  The description's ``meta`` is
+    kept.
     """
     m0 = {_decode_vertex(item["id"]): item["m0"] for item in doc["vertices"]}
     m1 = {}
@@ -430,29 +423,37 @@ def complex_from_json(doc: dict) -> WeightedComplex:
         m1[u, v] = _positive_weight(item["m1"], "m1({!r},{!r})", u, v)
     graph = WeightedGraph(m0, m1)
     n = int(doc["max_degree"])
-    rule_doc = doc.get("weight_rule")
+    rule = doc.get("weight_rule")
+    kind = rule.get("kind") if isinstance(rule, dict) else rule
+    if rule is not None and kind != "radial":
+        raise ValueError(f"unknown weight_rule kind {kind!r}: the only kind is 'radial'")
     explicit = {}
     for k, lst in (doc.get("weights") or {}).items():
+        if not 0 <= int(k) <= n:
+            raise ValueError(f"weights of degree {k} outside 0..{n}")
         explicit[int(k)] = table = {}
         for item in lst:
             s = tuple(_decode_vertex(v) for v in item["simplex"])
             table[s] = _positive_weight(item["m"], "degree-{} weight m{!r}", k, s)
 
     cx = build_clique_complex(graph, n)
-    if rule_doc and rule_doc.get("kind") == "radial":
+    if rule is not None:
         from .generators import radial_weighting  # deferred; generators imports this module
 
-        base = {_decode_vertex(v) for v in rule_doc["base"]}
-        cx = radial_weighting(cx, base, float(rule_doc["alpha"]))
-    else:
-        for degree in sorted(explicit):
-            table = explicit[degree]
-            unknown = set(table) - set(cx.simplices[degree])
-            if unknown:
-                raise ValueError(f"degree-{degree} weights reference non-cliques: {sorted(unknown)[:3]!r}")
-            cx = drop_simplices(cx, degree, lambda s, t=table: s in t)
-            w = cx.weights[degree]
-            for j, s in enumerate(cx.simplices[degree]):
-                w[j] = table[s]
+        base = {_decode_vertex(v) for v in rule["base"]}
+        cx = radial_weighting(cx, base, float(rule["alpha"]))
+    elif explicit:
+        tables, weights = _kept(cx, {i: np.array([s in table for s in cx.simplices[i]], dtype=bool)
+                                     for i, table in explicit.items()})
+        for i in sorted(explicit):
+            table = explicit[i]
+            if len(tables[i]) < len(table):
+                unknown = sorted(set(table).difference(tables[i]))
+                raise ValueError(f"degree-{i} weights reference non-cliques: {unknown[:3]!r}")
+            weights[i] = np.array([table[s] for s in tables[i]], dtype=float)
+        # when every simplex stays, the kept tables share the clique complex's topology
+        same = [len(t) for t in tables] == list(cx.counts())
+        cx = WeightedComplex(max_degree=n, simplices=tables, weights=weights,
+                             topology=cx.topology if same else None)
     cx.meta.update(doc.get("meta") or {})
     return cx

@@ -62,14 +62,14 @@ class LayerDecomposition:
 
 def layers_by_depth(cx: WeightedComplex) -> LayerDecomposition:
     """Layer = word length; for rooted-tree families whose ids are tuples."""
-    return LayerDecomposition({v: len(v) for v in cx.graph.vertices}, origin="depth")
+    return LayerDecomposition({v: len(v) for v in cx.topology.vertices}, origin="depth")
 
 
 def layers_by_distance(cx: WeightedComplex, roots: Iterable) -> LayerDecomposition:
-    dist = cx.graph.distances_from(set(roots))
-    missing = [v for v in cx.graph.vertices if v not in dist]
+    dist = cx.topology.distances_from(set(roots))
+    missing = len(cx.topology.vertices) - len(dist)
     if missing:
-        raise ValueError(f"{len(missing)} vertices unreachable from roots")
+        raise ValueError(f"{missing} vertices unreachable from roots")
     return LayerDecomposition(dist, origin="graph distance")
 
 
@@ -84,10 +84,10 @@ class ValidationReport:
 
 def validate_decomposition(cx: WeightedComplex, layers: LayerDecomposition) -> ValidationReport:
     """Check the partition and unit-jump properties; violations are data."""
-    uncovered = [v for v in cx.graph.vertices if v not in layers.layer_of]
+    uncovered = [v for v in cx.topology.vertices if v not in layers.layer_of]
     violations = []
     hist: dict[int, int] = {}
-    for (u, v) in cx.graph.m1:
+    for (u, v) in cx.simplices[1]:
         lu, lv = layers.layer_of.get(u), layers.layer_of.get(v)
         if lu is None or lv is None:
             continue

@@ -42,8 +42,7 @@ def _unit_graph(vertices, edges) -> WeightedGraph:
     return WeightedGraph({v: 1.0 for v in vertices}, {e: 1.0 for e in edges})
 
 
-def gen_lattice(d: int, n: int, radius: int, adjacency: str = "freudenthal",
-                weight_rule=None) -> WeightedComplex:
+def gen_lattice(d: int, n: int, radius: int, adjacency: str = "freudenthal") -> WeightedComplex:
     """Clique complex of the integer lattice patch {-R..R}^d.
 
     ``adjacency="freudenthal"`` joins x to x+delta for every nonzero 0/1
@@ -71,7 +70,7 @@ def gen_lattice(d: int, n: int, radius: int, adjacency: str = "freudenthal",
             w = tuple(a + b for a, b in zip(v, dl))
             if w in box:
                 edges.append((v, w))
-    cx = build_clique_complex(_unit_graph(vertices, edges), n, weight_rule)
+    cx = build_clique_complex(_unit_graph(vertices, edges), n)
     cx.meta.update(family="lattice", d=d, radius=radius, adjacency=adjacency)
     return cx
 
@@ -300,11 +299,11 @@ def radial_weighting(cx: WeightedComplex, base: Iterable, alpha: float) -> Weigh
     base = set(base)
     if not base:
         raise ValueError("base set must be nonempty")
-    dist = cx.graph.distances_from(base)
-    missing = [v for v in cx.graph.vertices if v not in dist]
+    dist = cx.topology.distances_from(base)
+    missing = len(cx.topology.vertices) - len(dist)
     if missing:
-        raise ValueError(f"{len(missing)} vertices unreachable from the base set")
-    vertex_dist = np.array([dist[v] for v in cx.graph.vertices], dtype=np.int64)
+        raise ValueError(f"{missing} vertices unreachable from the base set")
+    vertex_dist = np.array(list(dist.values()), dtype=np.int64)  # every vertex, in table order
     # Python's ** on each distance, so the weights equal the per-simplex formula bit for bit
     table = np.array([(1.0 + d) ** (-alpha) for d in range(int(vertex_dist.max(initial=0)) + 1)])
     weights = [table[vertex_dist[cx.topology.vertex_index(i)].max(axis=1)]

@@ -226,12 +226,12 @@ def boundary_weight_down(cx: WeightedComplex, factor: float = 1e-3) -> WeightedC
     the lexicographically first vertex; a labeled diagnostic variant, not a
     model of the unbounded complex.
     """
-    if not cx.graph.vertices:
+    vertices = cx.topology.vertices
+    if not vertices:
         return cx
-    root = cx.graph.vertices[0]
-    dist = cx.graph.distances_from([root])
+    dist = cx.topology.distances_from(vertices[:1])
     top = max(dist.values())
-    on_boundary = np.array([dist.get(v) == top for v in cx.graph.vertices])
+    on_boundary = np.array([dist.get(v) == top for v in vertices])
     weights = [
         cx.weights[i] * np.where(on_boundary[cx.topology.vertex_index(i)].any(axis=1), factor, 1.0)
         for i in range(cx.max_degree + 1)

@@ -121,11 +121,29 @@ def verify_face_closure(cx):
 
 def verify_clique_soundness(cx):
     """Every vertex pair of every stored simplex is an edge of positive weight."""
+    m1 = dict(zip(cx.simplices[1], cx.weights[1].tolist()))
     for i in range(1, cx.max_degree + 1):
         for s in cx.simplices[i]:
             for e in itertools.combinations(s, 2):
-                if not cx.graph.m1.get(e, 0.0) > 0:
+                if not m1.get(e, 0.0) > 0:
                     raise AssertionError(f"simplex {s!r} has non-edge {e!r}")
+
+
+def bfs_distances(tables, roots):
+    """{vertex: distance to roots} by breadth-first search along the edges of
+    ``tables[1]``; unreachable vertices absent."""
+    neighbours = {v: [] for (v,) in tables[0]}
+    for u, v in tables[1]:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    dist = {r: 0 for r in roots}
+    queue = list(dist)
+    for v in queue:
+        for w in neighbours[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def cofaces(tables, degree):

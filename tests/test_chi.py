@@ -75,7 +75,7 @@ def test_plateau_cutoff_divergence_profile():
 
 
 def test_energy_functional_constant_is_zero(K4):
-    ones = {v: 1.0 for v in K4.graph.vertices}
+    ones = {v: 1.0 for v in K4.topology.vertices}
     zeros = {}
     for degree in (1, 2, 3):
         assert energy_functional(K4, ones, degree)[0] == 0.0
@@ -92,9 +92,10 @@ def test_energy_functional_line_closed_form():
         sup, witness = energy_functional(cx, chi, 1)
         # independent exhaustive sweep
         best = 0.0
-        for v in cx.graph.vertices:
+        labels = {v for (v,) in cx.simplices[0]}
+        for v in labels:
             e = sum((chi.get((v[0] + s,), 0.0) - chi.get(v, 0.0)) ** 2 for s in (-1, 1)
-                    if (v[0] + s,) in cx.graph.m0)
+                    if (v[0] + s,) in labels)
             best = max(best, e)
         assert np.isclose(sup, best)
         if W > 1:
@@ -251,7 +252,7 @@ def test_coupling_block_perturbed_lattice_rank_oracle():
 def test_leibniz_trivial_cases(K4):
     rng = np.random.default_rng(0)
     f = random_cochain(K4, 1, rng)
-    ones = {v: 1.0 for v in K4.graph.vertices}
+    ones = {v: 1.0 for v in K4.topology.vertices}
     rep = leibniz_remainder(K4, ones, f)
     assert rep.norm_d <= 1e-14 and rep.norm_delta <= 1e-14
     zero = Cochain.zeros(K4, 1)

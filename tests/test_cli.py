@@ -278,3 +278,24 @@ def test_weights_not_finite_and_positive_are_refused(tmp_path, capsys, field, na
     code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
     assert_one_line_error(code, err)
     assert f"error: {name} = " in err and "must be finite and positive" in err
+
+
+@pytest.mark.parametrize("rule,kind", [({"kind": "constant", "value": 2.0}, "'constant'"),
+                                       ({"kind": "radail", "alpha": 1.0, "base": ["a"]}, "'radail'")])
+def test_unknown_weight_rule_kind_is_refused(tmp_path, capsys, rule, kind):
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(dict(k3_description(), weight_rule=rule)))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert f"error: unknown weight_rule kind {kind}" in err
+
+
+@pytest.mark.parametrize("degree", ["3", "-1"])
+def test_weights_of_a_degree_outside_the_complex_are_refused(tmp_path, capsys, degree):
+    cx_path = tmp_path / "k3.json"
+    doc = k3_description()
+    doc["weights"][degree] = []
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert f"error: weights of degree {degree} outside 0..2" in err

@@ -1,7 +1,8 @@
 """Committed CLI reports: each command below must reproduce its file under
 ``tests/golden/`` byte for byte.
 
-The inputs are small descriptions written by ``generate``; the commands run
+The inputs are small descriptions written by ``generate`` (two ``generate``
+outputs are kept as reports too); the commands run
 in the input directory, so the paths in each report's config are relative.
 Spectral commands (``spectrum``, ``hodge``, ``sweep``) are left out: their
 last digits depend on the BLAS build.
@@ -36,6 +37,10 @@ REPORTS = [
     ("divergence-synthetic.json", ["divergence", "--xi", "n^3", "--k-range", "1..3",
                                    "--cutoff-n", "1", "--horizon", "50"]),
     ("assemble.txt", ["assemble", "--input", "tree.json", "--kind", "gauss_bonnet"]),
+    ("generate-perturbed-radial.json", ["generate", "--kind", "perturbed", "--radius", "3",
+                                        "--side", "2", "--radial-alpha", "1.5"]),
+    ("generate-offspring-tree.json", ["generate", "--kind", "offspring-tree", "--off", "n^2",
+                                      "--depth", "3"]),
 ]
 
 

@@ -17,13 +17,15 @@ from hodgelab import (
     induced_subcomplex,
     weighted_degree,
 )
+from hodgelab import complexes
 from hodgelab.complexes import Topology, reweighted
 from hodgelab.divergence import LayerDecomposition, growth_table
-from hodgelab.generators import gen_lattice
+from hodgelab.generators import gen_lattice, gen_perturbed_lattice, lattice_cube, offspring_tree_family
 from hodgelab.operators import coboundary_matrix
 
 from conftest import k3_description, unit_graph
 from oracles import (
+    bfs_distances,
     boundary_matrix,
     clique_counts,
     cofaces,
@@ -102,22 +104,23 @@ def test_loops_rejected():
         WeightedGraph({"a": 1.0}, {("a", "a"): 1.0})
 
 
-def test_nonpositive_weights_rejected():
+def test_nonpositive_weights_rejected(K3):
     with pytest.raises(ValueError):
         WeightedGraph({"a": 0.0, "b": 1.0}, {("a", "b"): 1.0})
-    g = unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")])
     with pytest.raises(ValueError):
-        build_clique_complex(g, 2, lambda s: 0.0)
+        reweighted(K3, [K3.weights[0], K3.weights[1], [0.0]])
 
 
 def test_extensions_are_graph_common_neighbors_on_clique_complex(K4):
     # on a full clique complex the coface extensions at degree < n are exactly
-    # the graph common neighbors
+    # the common neighbors in the edge table
+    edges = {frozenset(e) for e in K4.simplices[1]}
+    labels = [v for (v,) in K4.simplices[0]]
     for degree in range(K4.max_degree):
         j, x, _ = K4.topology.extension_coo(degree)
         for idx, s in enumerate(K4.simplices[degree]):
             ext = {K4.simplices[0][p][0] for p in x[j == idx]}
-            assert ext == K4.graph.common_neighbors(s)
+            assert ext == {y for y in labels if all(frozenset((u, y)) in edges for u in s)}
 
 
 def test_induced_subcomplex_k4_to_k3(K4):
@@ -152,10 +155,18 @@ def test_json_roundtrip_preserves_dropped_simplices(K3, hollow_triangle):
 def test_dropped_edge_leaves_the_graph(K3):
     cx = drop_simplices(K3, 1, lambda e: e != ("a", "c"))
     assert cx.counts() == (3, 2, 0)
-    assert cx.graph.distances_from(["a"]) == {"a": 0, "b": 1, "c": 2}
+    assert cx.topology.distances_from(["a"]) == {"a": 0, "b": 1, "c": 2}
     doc = json.loads(json.dumps(complex_to_json(cx)))
     assert [(e["u"], e["v"]) for e in doc["edges"]] == [("a", "b"), ("b", "c")]
     assert complex_from_json(doc).counts() == (3, 2, 0)
+
+
+def test_listed_simplex_without_its_faces_is_refused(K4):
+    doc = json.loads(json.dumps(complex_to_json(K4)))
+    doc["weights"]["2"] = doc["weights"]["2"][1:]  # the tetrahedron loses face abc
+    with pytest.raises(ValueError, match=re.escape("degree-3 weights reference non-cliques: "
+                                                   "[('a', 'b', 'c', 'd')]")):
+        complex_from_json(doc)
 
 
 def test_json_default_weights_are_one():
@@ -186,14 +197,23 @@ def test_description_weights_must_be_finite_and_positive(field, name, bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_graph_and_rule_weights_must_be_finite(bad):
+def test_graph_and_rule_weights_must_be_finite(K3, bad):
     with pytest.raises(ValueError, match=re.escape("m0('a')")):
         WeightedGraph({"a": bad, "b": 1.0}, {("a", "b"): 1.0})
     with pytest.raises(ValueError, match=re.escape("m1('a','b')")):
         WeightedGraph({"a": 1.0, "b": 1.0}, {("a", "b"): bad})
-    g = unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")])
     with pytest.raises(ValueError, match=re.escape("('a', 'b', 'c')")):
-        build_clique_complex(g, 2, lambda s: bad)
+        reweighted(K3, [K3.weights[0], K3.weights[1], [bad]])
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS)
+@pytest.mark.parametrize("degree,simplex", [(0, ("b",)), (1, ("a", "c")), (2, ("a", "b", "c"))])
+def test_reweighted_refuses_weights_not_finite_and_positive(K3, degree, simplex, bad):
+    weights = [w.copy() for w in K3.weights]
+    weights[degree][K3.index_of(degree, simplex)] = bad
+    name = f"degree-{degree} weight m{simplex!r}"
+    with pytest.raises(ValueError, match=re.escape(name) + " = .* must be finite and positive"):
+        reweighted(K3, weights)
 
 
 def test_zero_edge_weight_means_no_edge():
@@ -230,10 +250,29 @@ def _expected_kept(cx, keep):
     return tables, weights
 
 
+def _check_skeleton(cx, roots):
+    """``vertices`` is the degree-0 table, and ``distances_from`` a subset of
+    ``roots`` is the breadth-first search over the edge table, in table order."""
+    labels = [v for (v,) in cx.simplices[0]]
+    assert cx.topology.vertices == labels
+    for some in ([r for r in labels if r in roots], labels[:1], []):
+        got = cx.topology.distances_from(some)
+        assert got == bfs_distances(cx.simplices, some)
+        assert list(got) == [v for v in labels if v in got]
+        assert all(type(d) is int for d in got.values())
+
+
 @given(weighted_graph_complexes(), st.data())
 def test_topology_arrays_match_oracles(cx, data):
     tables, top = cx.simplices, cx.topology
     vertex_pos = {v: p for p, (v,) in enumerate(tables[0])}
+    roots = {v for v, f in zip(vertex_pos, _flags(data, tables[0])) if f}
+    _check_skeleton(cx, roots)
+    _check_skeleton(reweighted(cx, cx.weights), roots)
+    back = complex_from_json(json.loads(json.dumps(complex_to_json(cx))))
+    assert back.simplices == tables
+    assert [w.tolist() for w in back.weights] == [w.tolist() for w in cx.weights]
+    _check_skeleton(back, roots)
     for i in range(cx.max_degree + 1):
         F = top.face_arrays[i]
         assert F.dtype == np.int64 and F.shape == (len(tables[i]), i + 1 if i else 0)
@@ -260,15 +299,14 @@ def test_topology_arrays_match_oracles(cx, data):
         want_tables, want_weights = _expected_kept(cx, lambda s: not any(d <= s for d in dropped))
         assert got.simplices == want_tables
         assert [w.tolist() for w in got.weights] == want_weights
-        if degree <= 1:
-            assert got.graph.vertices == [v for (v,) in want_tables[0]]
-            assert sorted(got.graph.m1) == want_tables[1]
+        _check_skeleton(got, roots)
 
     region = {v for v, f in zip(vertex_pos, _flags(data, tables[0])) if f} or {tables[0][0][0]}
     sub = induced_subcomplex(cx, region)
     want_tables, want_weights = _expected_kept(cx, lambda s: s <= region)
     assert sub.simplices == want_tables
     assert [w.tolist() for w in sub.weights] == want_weights
+    _check_skeleton(sub, roots)
 
     layer_of = {v: data.draw(st.integers(0, 3)) for v in vertex_pos}
     layers = LayerDecomposition(layer_of)
@@ -286,3 +324,23 @@ def test_topology_arrays_match_oracles(cx, data):
 def test_topology_refuses_tables_without_their_faces():
     with pytest.raises(ValueError, match="not closed under faces"):
         Topology([[("a",), ("b",), ("c",)], [("a", "b")], [("a", "b", "c")]], 2)
+
+
+def test_description_load_builds_each_kept_table_once(monkeypatch):
+    """Loading builds the clique complex's topology, plus one for the kept
+    tables when the weight lists leave simplices out."""
+    descriptions = [complex_to_json(offspring_tree_family("n^2", 5)),
+                    complex_to_json(gen_perturbed_lattice(2, 2, 4, lattice_cube(4, 2)))]
+    built = []
+
+    class CountingTopology(Topology):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(complexes, "Topology", CountingTopology)
+    for doc, builds in zip(descriptions, (1, 2)):
+        built.clear()
+        cx = complex_from_json(json.loads(json.dumps(doc)))
+        assert len(built) == builds
+        assert complex_to_json(cx) == doc

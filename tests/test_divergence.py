@@ -33,13 +33,13 @@ def test_validate_lattice_by_l1_distance():
     # plain grid: every edge changes the l1 norm by exactly one
     grid = gen_lattice(2, 2, 10, "nearest")
     layers = LayerDecomposition(
-        {v: abs(v[0]) + abs(v[1]) for v in grid.graph.vertices}, origin="l1"
+        {v: abs(v[0]) + abs(v[1]) for v in grid.topology.vertices}, origin="l1"
     )
     assert validate_decomposition(grid, layers).ok
     # with diagonal adjacency the (1,1) steps jump two l1 layers
     cx = gen_lattice(2, 2, 5)
     layers = LayerDecomposition(
-        {v: abs(v[0]) + abs(v[1]) for v in cx.graph.vertices}, origin="l1"
+        {v: abs(v[0]) + abs(v[1]) for v in cx.topology.vertices}, origin="l1"
     )
     rep = validate_decomposition(cx, layers)
     assert not rep.ok
@@ -51,7 +51,7 @@ def test_validate_lattice_by_l1_distance():
 
 def test_validate_parity_classes():
     cx = gen_lattice(2, 2, 3)
-    layers = LayerDecomposition({v: v[0] % 2 for v in cx.graph.vertices}, origin="parity")
+    layers = LayerDecomposition({v: v[0] % 2 for v in cx.topology.vertices}, origin="parity")
     rep = validate_decomposition(cx, layers)
     # exhaustive scan decides; vertical edges stay inside one class (jump 0),
     # horizontal and diagonal edges jump by one, so the scan accepts
@@ -68,7 +68,7 @@ def test_offspring_tree_depth_layers_violate_unit_jump():
 
 def test_growth_path_graph():
     cx = gen_lattice(1, 1, 8, "nearest")
-    layers = LayerDecomposition({v: v[0] + 8 for v in cx.graph.vertices}, origin="position")
+    layers = LayerDecomposition({v: v[0] + 8 for v in cx.topology.vertices}, origin="position")
     tab = growth_table(cx, layers, range(0, 15))
     for k in range(0, 15):
         assert tab[k][0] == 1.0
@@ -158,7 +158,7 @@ def test_divergence_cutoff_monotone_in_n():
     layers = layers_by_depth(cx)
     chi2, _ = divergence_cutoffs(layers, lambda j: max(1, j * j), 2, 500)
     chi5, _ = divergence_cutoffs(layers, lambda j: max(1, j * j), 5, 500)
-    for v in cx.graph.vertices:
+    for v in cx.topology.vertices:
         assert chi5.get(v, 0.0) >= chi2.get(v, 0.0) - 1e-15
 
 

@@ -31,7 +31,7 @@ def test_nearest_has_no_triangles():
 
 def test_freudenthal_triangles_match_bruteforce():
     cx = gen_lattice(2, 2, 1)
-    counts = clique_counts(cx.graph.vertices, cx.graph.m1.keys(), 2)
+    counts = clique_counts([v for (v,) in cx.simplices[0]], cx.simplices[1], 2)
     assert cx.counts() == counts
     assert cx.counts()[2] == 8  # two triangles per unit square
 
@@ -55,7 +55,7 @@ def test_perturbed_lattice_filters_top_degree():
 
 def test_perturbed_lattice_trivial_regions():
     full = gen_lattice(2, 2, 3)
-    whole = gen_perturbed_lattice(2, 2, 3, full.graph.vertices)
+    whole = gen_perturbed_lattice(2, 2, 3, full.topology.vertices)
     assert whole.counts() == full.counts()
     empty = gen_perturbed_lattice(2, 2, 3, [])
     assert empty.counts()[2] == 0

@@ -124,7 +124,7 @@ def test_energy_zero_iff_locally_constant():
     from hodgelab.chi import energy_functional
 
     cx = gen_lattice(2, 2, 3)
-    const = {v: 0.7 for v in cx.graph.vertices}
+    const = {v: 0.7 for v in cx.topology.vertices}
     assert energy_functional(cx, const, 1)[0] == 0.0
     bump = dict(const)
     bump[(0, 0)] = 1.0

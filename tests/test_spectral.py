@@ -13,7 +13,7 @@ from hodgelab.spectral import (
 )
 
 from conftest import unit_graph
-from oracles import betti_by_rank, graph_laplacian
+from oracles import betti_by_rank, bfs_distances, graph_laplacian
 
 
 def test_spectrum_k3(K3):
@@ -154,7 +154,7 @@ def test_kernel_probe_zero_block():
 def test_boundary_weight_down_scales_last_layer():
     cx = gen_truncated_tree(1, 3)
     down = boundary_weight_down(cx, 1e-3)
-    dist = cx.graph.distances_from([()])
+    dist = bfs_distances(cx.simplices, [()])
     top = max(dist.values())
     for j, v in enumerate(down.simplices[0]):
         expected = 1e-3 if dist[v[0]] == top else 1.0
