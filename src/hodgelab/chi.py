@@ -79,10 +79,12 @@ def make_ball_exhaustion(cx: WeightedComplex, roots: Iterable, k_max: int) -> Ex
     """Graph-distance balls around ``roots``; unreachable vertices are
     excluded and reported on the result.  A root that is not a vertex of
     ``cx`` raises ``ValueError``."""
-    roots = tuple(sorted(set(roots)))
+    roots = list(roots)
     if not roots:
         raise ValueError("roots must be nonempty")
+    # looked up first: vertices are mutually comparable, so the sort cannot raise
     dist = cx.topology.distances_from(roots)
+    roots = tuple(sorted(set(roots)))
     excluded = tuple(v for v in cx.topology.vertices if v not in dist)
     return Exhaustion(roots=roots, k_max=int(k_max), dist=dist, excluded=excluded)
 
@@ -192,7 +194,7 @@ def energy_functional(cx: WeightedComplex, chi: Mapping, degree: int):
 def _vertex_values(cx: WeightedComplex, chi: Mapping) -> np.ndarray:
     """chi on the degree-0 table, 0 where chi has no entry."""
     get = chi.get
-    return np.array([get(v, 0.0) for (v,) in cx.simplices[0]], dtype=float)
+    return np.array([get(v, 0.0) for v in cx.topology.vertices], dtype=float)
 
 
 def _simplex_means(cx: WeightedComplex, c: np.ndarray, degree: int) -> np.ndarray:
@@ -352,7 +354,7 @@ def coupling_block(cx: WeightedComplex, region: Iterable,
     """Split D into [[D_in, C], [C*, D_out]] by region membership of simplices."""
     region = set(region)
     D = gauss_bonnet_matrix(cx).tocsr()
-    inside = np.array([v in region for (v,) in cx.simplices[0]], dtype=bool)
+    inside = np.array([v in region for v in cx.topology.vertices], dtype=bool)
     # per degree, how many vertices of each simplex lie in the region
     hits = [inside[cx.topology.vertex_index(i)].sum(axis=1) for i in range(cx.max_degree + 1)]
     flags = np.concatenate([h == i + 1 for i, h in enumerate(hits)])

@@ -19,7 +19,7 @@ from . import chi as chi_mod
 from . import divergence as div_mod
 from . import generators as gen
 from . import spectral
-from .complexes import complex_from_json, complex_to_json, induced_subcomplex
+from .complexes import _decode_vertex, complex_from_json, complex_to_json, induced_subcomplex
 from .operators import assemble_block, export_coordinate_text
 
 __all__ = ["main", "build_parser"]
@@ -39,10 +39,6 @@ def _parse_range(text: str, flag: str) -> list[int]:
 def _load_complex(path: str):
     with open(path) as fh:
         return complex_from_json(json.load(fh))
-
-
-def _decode(obj):
-    return tuple(_decode(x) for x in obj) if isinstance(obj, list) else obj
 
 
 def _emit(args, result: dict, stream=None) -> None:
@@ -122,9 +118,12 @@ def cmd_assemble(args) -> int:
 
 
 def _roots_for(cx, args):
-    if args.roots:
-        return {_decode(v) for v in json.loads(args.roots)}
-    return {cx.topology.vertices[0]}
+    if not args.roots:
+        return [cx.topology.vertices[0]]
+    roots = json.loads(args.roots)
+    if not isinstance(roots, list):
+        raise ValueError(f"--roots must be a JSON list of vertices, not {args.roots!r}")
+    return [_decode_vertex(v) for v in roots]
 
 
 def cmd_chi(args) -> int:
@@ -134,7 +133,7 @@ def cmd_chi(args) -> int:
         if not args.region_file:
             raise ValueError("region mode needs --region-file")
         with open(args.region_file) as fh:
-            region = {_decode(v) for v in json.load(fh)}
+            region = {_decode_vertex(v) for v in json.load(fh)}
         coupling = chi_mod.coupling_block(cx, region)
         cx = induced_subcomplex(cx, region)
         coupling_info = {

@@ -1,10 +1,10 @@
 """Weighted clique complexes with canonical simplex indexing.
 
 A complex is built from a weighted graph: an i-simplex is an (i+1)-clique,
-stored once as its sorted vertex tuple (the canonical orientation
+stored once as a row of sorted vertex positions (the canonical orientation
 representative).  Orientation is carried by permutation signs, weights are
-stored per canonical representative, and every degree gets a dense,
-lexicographically ordered index so matrix layouts are reproducible.
+stored per canonical representative, and every degree's rows are in
+lexicographic order, so matrix layouts are reproducible.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class WeightedGraph:
             raise ValueError("vertex ids must be mutually comparable (e.g. not mixed int and str)") from None
         self.m0 = {v: _positive_weight(w, "m0({!r})", v) for v, w in m0.items()}
         self.m1: dict[tuple, float] = {}
-        self.adjacency: dict[Vertex, set] = {v: set() for v in self.vertices}
         for (u, v), w in m1.items():
             w = float(w)
             if not 0 <= w < math.inf:
@@ -93,72 +92,87 @@ class WeightedGraph:
                 raise ValueError(f"asymmetric weight for edge {key!r}")
             if w > 0:
                 self.m1[key] = w
-                self.adjacency[key[0]].add(key[1])
-                self.adjacency[key[1]].add(key[0])
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[k] .. starts[k] + counts[k] - 1``, concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 class Topology:
-    """Index and face arrays of fixed simplex tables.
+    """The simplices of a complex as integer tables, and what derives from them.
 
-    ``index[i]`` maps a degree-i simplex to its position.  ``face_arrays[i]``
-    is the one stored face structure of degree i >= 1: a read-only int64
-    array of shape ``(N_i, i+1)`` whose column l holds the index of the
-    degree-(i-1) face omitting vertex l (a vertex has no faces, so
-    ``face_arrays[0]`` has no columns).  The coface extensions
-    (``extension_coo``) and the signed incidence matrices (``incidence``) are
-    derived from the face arrays on first use and cached; ``vertex_index``
-    holds the vertex positions the faces were looked up by.  ``vertices``
-    lists the degree-0 labels, and the degree-1 simplices give the graph
-    distances (``distances_from``).  Every reweighting of a complex shares
-    its topology.
+    ``vertices`` lists the degree-0 labels in sorted order; ``vertex_index(i)``
+    holds the increasing vertex positions of every i-simplex, one row each,
+    rows in lexicographic order.  These are the only stored form of the
+    simplices.  Column l of ``face_arrays[i]`` is the index of the face
+    omitting vertex l (``face_arrays[0]`` has no columns).  ``extension_coo``,
+    ``incidence`` and the label tuples ``simplices`` are derived on first use
+    and cached.  Every reweighting of a complex shares its topology.
     """
 
-    def __init__(self, simplices: list[list[tuple]], max_degree: int):
-        self.max_degree = max_degree
-        self.vertices: list = [v for (v,) in simplices[0]]
-        self.index: list[dict] = [{s: j for j, s in enumerate(table)} for table in simplices]
-        n0 = len(simplices[0])
-        position = {v: j for j, v in enumerate(self.vertices)}
+    def __init__(self, vertices: list, tables: Sequence[np.ndarray]):
+        self.vertices = vertices
+        self.max_degree = len(tables)
+        n0 = len(vertices)
+        self._position = {v: j for j, v in enumerate(vertices)}
         self._vertex_index = [np.arange(n0, dtype=np.int64).reshape(-1, 1)]
         self.face_arrays: list[np.ndarray] = [np.zeros((n0, 0), dtype=np.int64)]
         # codes[i] codes each degree-i simplex as (index of its face omitting the
-        # last vertex) * n0 + last vertex; sorted tables give increasing codes
-        codes: list[np.ndarray | None] = [None]
-        for i in range(1, max_degree + 1):
-            V = np.fromiter(map(position.__getitem__, itertools.chain.from_iterable(simplices[i])),
-                            dtype=np.int64, count=len(simplices[i]) * (i + 1)).reshape(-1, i + 1)
-            columns = []
-            for l in range(i + 1):
-                face = np.delete(V, l, axis=1)
-                j = face[:, 0]
-                for d in range(1, i):
-                    j = np.searchsorted(codes[d], j * n0 + face[:, d])
-                if not np.array_equal(self._vertex_index[i - 1].take(j, axis=0, mode="clip"), face):
-                    raise ValueError(f"degree-{i} simplex table is unsorted or not closed under faces")
-                columns.append(j)
-            F = np.column_stack(columns)
-            codes.append(F[:, i] * n0 + V[:, i])
+        # last vertex) * n0 + last vertex; lexicographic tables give increasing codes
+        self._codes: list[np.ndarray | None] = [None]
+        for i, V in enumerate(tables, start=1):
+            V = np.asarray(V, dtype=np.int64).reshape(-1, i + 1)
+            F = np.column_stack([self._find(np.delete(V, l, axis=1)) for l in range(i + 1)])
+            codes = F[:, i] * n0 + V[:, i]
+            if (F < 0).any() or (V[:, i] <= V[:, i - 1]).any() or (codes[1:] <= codes[:-1]).any():
+                raise ValueError(f"degree-{i} simplex table is unsorted or not closed under faces")
             self._vertex_index.append(V)
             self.face_arrays.append(F)
+            self._codes.append(codes)
         for a in self._vertex_index + self.face_arrays:
             a.setflags(write=False)
+        self._simplices: list[list[tuple]] | None = None
         self._extension_coo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._incidence: dict[int, sp.csr_matrix] = {}
         self._adjacency: sp.csr_matrix | None = None
+
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """Table index of each vertex-position row of ``rows`` (shape
+        ``(k, i+1)``) among the degree-i simplices, -1 where it is none."""
+        i = rows.shape[1] - 1
+        table = self._vertex_index[i]
+        if not len(table):
+            return np.full(len(rows), -1, dtype=np.int64)
+        j = rows[:, 0]
+        for d in range(1, i + 1):
+            j = np.searchsorted(self._codes[d], j * len(self.vertices) + rows[:, d])
+        return np.where((table.take(j, axis=0, mode="clip") == rows).all(axis=1), j, -1)
 
     def vertex_index(self, degree: int) -> np.ndarray:
         """``(N_degree, degree+1)`` int64 array of vertex positions (into the
         degree-0 table) of every degree-``degree`` simplex, read-only."""
         return self._vertex_index[degree]
 
+    @property
+    def simplices(self) -> list[list[tuple]]:
+        """Every degree's simplices as sorted label tuples, in table order."""
+        if self._simplices is None:
+            label = self.vertices.__getitem__
+            self._simplices = [list(zip(*(map(label, column) for column in V.T.tolist())))
+                               for V in self._vertex_index]
+        return self._simplices
+
     def distances_from(self, roots: Iterable[Vertex]) -> dict:
         """``{label: graph distance to roots}`` over the degree-1 simplices, in
         table order; unreachable vertices are absent.  A root that is not a
         vertex raises ``ValueError``."""
-        try:
-            sources = [self.index[0][(r,)] for r in roots]
-        except KeyError as err:
-            raise ValueError(f"root {err.args[0][0]!r} not in complex") from None
+        sources = []
+        for r in roots:
+            try:
+                sources.append(self._position[r])
+            except (KeyError, TypeError):
+                raise ValueError(f"root {r!r} not in complex") from None
         if self._adjacency is None:
             u, v = self._vertex_index[1].T
             self._adjacency = sp.csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
@@ -169,8 +183,7 @@ class Topology:
         frontier, d = np.unique(np.array(sources, dtype=np.int64)), 0
         while frontier.size:
             dist[frontier] = d
-            starts, counts = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
-            nbrs = indices[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+            nbrs = indices[_spans(indptr[frontier], indptr[frontier + 1] - indptr[frontier])]
             frontier, d = np.unique(nbrs[dist[nbrs] < 0]), d + 1
         reached = np.flatnonzero(dist >= 0)
         return dict(zip(map(self.vertices.__getitem__, reached.tolist()), dist[reached].tolist()))
@@ -208,7 +221,7 @@ class Topology:
             signs = np.where(np.arange(width)[::-1] % 2 == 0, 1.0, -1.0)
             out = sp.csr_matrix((np.tile(signs, rows), F[:, ::-1].ravel(),
                                  np.arange(0, rows * width + 1, width)),
-                                shape=(rows, len(self.index[degree])))
+                                shape=(rows, len(self._vertex_index[degree])))
             for a in (out.data, out.indices, out.indptr):
                 a.setflags(write=False)
             self._incidence[degree] = out
@@ -217,83 +230,91 @@ class Topology:
 
 @dataclass(eq=False)
 class WeightedComplex:
-    """Finite weighted clique complex with per-degree canonical tables.
-
-    ``simplices[i]`` lists degree-i simplices as sorted vertex tuples in
-    lexicographic order; ``weights[i]`` is the aligned positive weight vector,
-    the only copy of every weight (the graph's m0 and m1 are ``weights[0]``
-    and ``weights[1]``).  ``index`` is that of ``topology`` (see
-    ``Topology``), which is built from the tables unless one is passed in.
-    Immutable after construction; ``==`` is identity.
+    """Finite weighted clique complex: a ``Topology`` and, aligned with its
+    degree-i table, the only copy of every weight ``weights[i]`` (the graph's
+    m0 and m1 are ``weights[0]`` and ``weights[1]``).  Immutable after
+    construction; ``==`` is identity.
     """
 
-    max_degree: int
-    simplices: list[list[tuple]]
+    topology: Topology = field(repr=False)
     weights: list[np.ndarray]
     meta: dict = field(default_factory=dict)
-    topology: Topology | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.topology is None:
-            self.topology = Topology(self.simplices, self.max_degree)
+    @property
+    def max_degree(self) -> int:
+        return self.topology.max_degree
+
+    @property
+    def simplices(self) -> list[list[tuple]]:
+        return self.topology.simplices
 
     @property
     def graph(self) -> Topology:
         """Read-only alias of ``topology``, for callers of ``graph.vertices``."""
         return self.topology
 
-    @property
-    def index(self) -> list[dict]:
-        return self.topology.index
-
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(table) for table in self.simplices)
+        return tuple(map(self.size, range(self.max_degree + 1)))
 
     def num_simplices(self) -> int:
         return sum(self.counts())
 
     def size(self, degree: int) -> int:
-        return len(self.simplices[degree])
+        return len(self.topology.vertex_index(degree))
 
     def index_of(self, degree: int, vertices: Sequence[Vertex]) -> int:
         key = tuple(vertices)
-        idx = self.index[degree].get(key)
-        if idx is None:
-            raise KeyError(f"degree-{degree} simplex {key!r} not in complex")
-        return idx
+        if 0 <= degree <= self.max_degree:
+            (j,) = _locate(self.topology, degree, [key])
+            if j >= 0:
+                return int(j)
+        raise KeyError(f"degree-{degree} simplex {key!r} not in complex")
+
+
+def _locate(top: Topology, degree: int, simplices: Iterable[tuple]) -> np.ndarray:
+    """Table index of each label tuple of ``simplices`` among the
+    degree-``degree`` simplices of ``top``, -1 where it is none."""
+    position, width = top._position, degree + 1
+    rows = [[position.get(v, -1) for v in s] if len(s) == width else [-1] * width for s in simplices]
+    return top._find(np.array(rows, dtype=np.int64).reshape(-1, width))
 
 
 def build_clique_complex(graph: WeightedGraph, n: int) -> WeightedComplex:
     """Enumerate all cliques of up to n+1 vertices as the degree <= n simplices.
 
+    Each row is extended by every later neighbour of its last vertex that is
+    adjacent to all its vertices (Chiba & Nishizeki, SIAM J. Comput. 1985);
+    rows and neighbours come in order, so every table comes out sorted.
     Degrees 0 and 1 carry the graph's m0 and m1, higher degrees weight 1.
     """
     if n < 1:
         raise ValueError("max degree n must be >= 1")
-    tables: list[list[tuple]] = [[(v,) for v in graph.vertices]]
-    weights: list[np.ndarray] = [np.array([graph.m0[v] for v in graph.vertices], dtype=float)]
-
-    edges = sorted(graph.m1)
-    tables.append(list(edges))
-    weights.append(np.array([graph.m1[e] for e in edges], dtype=float))
-
-    adjacency = graph.adjacency
-    level = edges
-    level_cn = [sorted(x for x in adjacency[u] & adjacency[v] if x > v) for u, v in edges]
+    vertices = graph.vertices
+    n0 = len(vertices)
+    position = {v: j for j, v in enumerate(vertices)}
+    ends = np.fromiter(map(position.__getitem__, itertools.chain.from_iterable(graph.m1)),
+                       dtype=np.int64, count=2 * len(graph.m1)).reshape(-1, 2)
+    codes = ends[:, 0] * n0 + ends[:, 1]
+    order = np.argsort(codes)
+    edges, codes = ends[order], codes[order]
+    weights = [np.fromiter(map(graph.m0.__getitem__, vertices), dtype=float, count=n0),
+               np.fromiter(graph.m1.values(), dtype=float, count=len(graph.m1))[order]]
+    # the forward neighbours of vertex u are edges[start[u]:start[u+1], 1]
+    start = np.searchsorted(edges[:, 0], np.arange(n0 + 1))
+    tables = [edges]
     for degree in range(2, n + 1):
-        nxt: list[tuple] = []
-        nxt_cn: list[list] = []
-        for s, cn in zip(level, level_cn):
-            for x in cn:
-                nxt.append(s + (x,))
-                nxt_cn.append([y for y in cn if y > x and y in adjacency[x]])
-        order = sorted(range(len(nxt)), key=nxt.__getitem__)
-        level = [nxt[k] for k in order]
-        level_cn = [nxt_cn[k] for k in order]
-        tables.append(level)
-        weights.append(np.ones(len(level)))
-
-    return WeightedComplex(max_degree=n, simplices=tables, weights=weights)
+        rows = tables[-1]
+        last = rows[:, -1]
+        count = start[last + 1] - start[last]
+        parent = np.repeat(np.arange(len(rows)), count)
+        x = edges[_spans(start[last], count), 1]
+        for column in range(degree - 1):
+            q = rows[parent, column] * n0 + x
+            hit = codes.take(np.searchsorted(codes, q), mode="clip") == q
+            parent, x = parent[hit], x[hit]
+        tables.append(np.column_stack([rows[parent], x]))
+        weights.append(np.ones(len(x)))
+    return WeightedComplex(Topology(vertices, tables), weights)
 
 
 def weighted_degree(cx: WeightedComplex, degree: int, index: int) -> float:
@@ -310,18 +331,26 @@ def weighted_degree(cx: WeightedComplex, degree: int, index: int) -> float:
     return float(total / cx.weights[degree][index])
 
 
-def _kept(cx: WeightedComplex, listed: Mapping[int, np.ndarray]) -> tuple[list, list]:
-    """Simplex tables and weights of ``cx`` that stay under the per-degree
-    masks ``listed``: a simplex stays when all its faces stay and its
-    degree's mask, if there is one, holds."""
+def _kept(cx: WeightedComplex, listed: Mapping[int, np.ndarray]) -> tuple[Topology, list]:
+    """Topology and weights of the simplices of ``cx`` that stay under the
+    per-degree masks ``listed``: a simplex stays when all its faces stay and
+    its degree's mask, if there is one, holds.  When every simplex stays, the
+    topology of ``cx`` is reused."""
+    top = cx.topology
     masks: list[np.ndarray] = []
     for i in range(cx.max_degree + 1):
-        mask = masks[i - 1][cx.topology.face_arrays[i]].all(axis=1) if i else np.ones(cx.size(0), bool)
+        mask = masks[i - 1][top.face_arrays[i]].all(axis=1) if i else np.ones(cx.size(0), bool)
         if i in listed:
             mask &= listed[i]
         masks.append(mask)
-    tables = [[s for s, k in zip(table, mask.tolist()) if k] for table, mask in zip(cx.simplices, masks)]
-    return tables, [w[mask] for w, mask in zip(cx.weights, masks)]
+    weights = [w[mask] for w, mask in zip(cx.weights, masks)]
+    if all(mask.all() for mask in masks):
+        return top, weights
+    # the kept vertices keep their order, so the renumbered tables stay sorted
+    renumber = np.cumsum(masks[0]) - 1
+    vertices = [v for v, k in zip(top.vertices, masks[0].tolist()) if k]
+    tables = [renumber[top.vertex_index(i)[masks[i]]] for i in range(1, cx.max_degree + 1)]
+    return Topology(vertices, tables), weights
 
 
 def induced_subcomplex(cx: WeightedComplex, region: Iterable[Vertex]) -> WeightedComplex:
@@ -329,9 +358,8 @@ def induced_subcomplex(cx: WeightedComplex, region: Iterable[Vertex]) -> Weighte
     region = set(region)
     if not region:
         raise ValueError("empty region")
-    tables, weights = _kept(cx, {0: np.array([v in region for v in cx.topology.vertices], dtype=bool)})
-    return WeightedComplex(max_degree=cx.max_degree, simplices=tables, weights=weights,
-                           meta=dict(cx.meta, region_size=len(region)))
+    top, weights = _kept(cx, {0: np.array([v in region for v in cx.topology.vertices], dtype=bool)})
+    return WeightedComplex(top, weights, meta=dict(cx.meta, region_size=len(region)))
 
 
 def drop_simplices(cx: WeightedComplex, degree: int, keep: Callable[[tuple], bool]) -> WeightedComplex:
@@ -339,9 +367,8 @@ def drop_simplices(cx: WeightedComplex, degree: int, keep: Callable[[tuple], boo
 
     Cofaces of dropped simplices are dropped as well, preserving face closure.
     """
-    tables, weights = _kept(cx, {degree: np.array([bool(keep(s)) for s in cx.simplices[degree]], dtype=bool)})
-    return WeightedComplex(max_degree=cx.max_degree, simplices=tables, weights=weights,
-                           meta=dict(cx.meta))
+    top, weights = _kept(cx, {degree: np.array([bool(keep(s)) for s in cx.simplices[degree]], dtype=bool)})
+    return WeightedComplex(top, weights, meta=dict(cx.meta))
 
 
 def reweighted(cx: WeightedComplex, weights: Sequence[np.ndarray],
@@ -364,8 +391,7 @@ def reweighted(cx: WeightedComplex, weights: Sequence[np.ndarray],
                              "must be finite and positive")
     new_meta = dict(cx.meta)
     new_meta.update(meta or {})
-    return WeightedComplex(max_degree=cx.max_degree, simplices=cx.simplices,
-                           weights=weights, meta=new_meta, topology=cx.topology)
+    return WeightedComplex(cx.topology, weights, meta=new_meta)
 
 
 # --- description JSON -------------------------------------------------------
@@ -407,6 +433,12 @@ def _json_safe(x) -> bool:
         return False
 
 
+def _listed_once(weights: dict, key, w: float, what: str) -> None:
+    """``weights[key] = w``; an entry listed again must repeat its weight."""
+    if weights.setdefault(key, w) != w:
+        raise ValueError(f"{what} listed twice with different weights")
+
+
 def complex_from_json(doc: dict) -> WeightedComplex:
     """Rebuild a complex from its description document.
 
@@ -416,44 +448,51 @@ def complex_from_json(doc: dict) -> WeightedComplex:
     instead, and any other rule is refused.  The description's ``meta`` is
     kept.
     """
-    m0 = {_decode_vertex(item["id"]): item["m0"] for item in doc["vertices"]}
-    m1 = {}
+    m0, m1 = {}, {}
+    for item in doc["vertices"]:
+        v = _decode_vertex(item["id"])
+        _listed_once(m0, v, _positive_weight(item["m0"], "m0({!r})", v), f"vertex {v!r}")
     for item in doc["edges"]:
         u, v = _decode_vertex(item["u"]), _decode_vertex(item["v"])
-        m1[u, v] = _positive_weight(item["m1"], "m1({!r},{!r})", u, v)
+        _listed_once(m1, (u, v), _positive_weight(item["m1"], "m1({!r},{!r})", u, v), f"edge ({u!r},{v!r})")
     graph = WeightedGraph(m0, m1)
     n = int(doc["max_degree"])
     rule = doc.get("weight_rule")
-    kind = rule.get("kind") if isinstance(rule, dict) else rule
-    if rule is not None and kind != "radial":
-        raise ValueError(f"unknown weight_rule kind {kind!r}: the only kind is 'radial'")
+    if rule is not None:
+        kind = rule.get("kind") if isinstance(rule, dict) else rule
+        if kind != "radial":
+            raise ValueError(f"unknown weight_rule kind {kind!r}: the only kind is 'radial'")
+        for key in ("base", "alpha"):
+            if key not in rule:
+                raise ValueError(f"radial weight_rule needs {key!r}")
+        if doc.get("weights"):
+            raise ValueError("a description gives either weights lists or a weight_rule, not both")
     explicit = {}
     for k, lst in (doc.get("weights") or {}).items():
         if not 0 <= int(k) <= n:
             raise ValueError(f"weights of degree {k} outside 0..{n}")
-        explicit[int(k)] = table = {}
+        explicit[int(k)] = listed = {}
         for item in lst:
             s = tuple(_decode_vertex(v) for v in item["simplex"])
-            table[s] = _positive_weight(item["m"], "degree-{} weight m{!r}", k, s)
+            _listed_once(listed, s, _positive_weight(item["m"], "degree-{} weight m{!r}", k, s),
+                         f"degree-{k} simplex {s!r}")
 
     cx = build_clique_complex(graph, n)
     if rule is not None:
         from .generators import radial_weighting  # deferred; generators imports this module
 
-        base = {_decode_vertex(v) for v in rule["base"]}
-        cx = radial_weighting(cx, base, float(rule["alpha"]))
+        cx = radial_weighting(cx, [_decode_vertex(v) for v in rule["base"]], float(rule["alpha"]))
     elif explicit:
-        tables, weights = _kept(cx, {i: np.array([s in table for s in cx.simplices[i]], dtype=bool)
-                                     for i, table in explicit.items()})
-        for i in sorted(explicit):
-            table = explicit[i]
-            if len(tables[i]) < len(table):
-                unknown = sorted(set(table).difference(tables[i]))
+        top, weights = _kept(cx, {i: np.isin(np.arange(cx.size(i)), _locate(cx.topology, i, listed))
+                                  for i, listed in explicit.items()})
+        for i, listed in sorted(explicit.items()):
+            # the kept degree-i table holds exactly the listed simplices whose faces stay
+            j = _locate(top, i, listed)
+            if (j < 0).any():
+                unknown = sorted(s for s, k in zip(listed, j.tolist()) if k < 0)
                 raise ValueError(f"degree-{i} weights reference non-cliques: {unknown[:3]!r}")
-            weights[i] = np.array([table[s] for s in tables[i]], dtype=float)
-        # when every simplex stays, the kept tables share the clique complex's topology
-        same = [len(t) for t in tables] == list(cx.counts())
-        cx = WeightedComplex(max_degree=n, simplices=tables, weights=weights,
-                             topology=cx.topology if same else None)
+            weights[i] = np.empty(len(j))
+            weights[i][j] = list(listed.values())
+        cx = WeightedComplex(top, weights)
     cx.meta.update(doc.get("meta") or {})
     return cx

@@ -66,7 +66,7 @@ def layers_by_depth(cx: WeightedComplex) -> LayerDecomposition:
 
 
 def layers_by_distance(cx: WeightedComplex, roots: Iterable) -> LayerDecomposition:
-    dist = cx.topology.distances_from(set(roots))
+    dist = cx.topology.distances_from(roots)
     missing = len(cx.topology.vertices) - len(dist)
     if missing:
         raise ValueError(f"{missing} vertices unreachable from roots")
@@ -120,7 +120,7 @@ def growth_table(cx: WeightedComplex, layers: LayerDecomposition, ks: Sequence[i
     """Bulk xi(k, k+1) for several k from one forward-extension count per degree."""
     wanted = set(int(k) for k in ks)
     n = cx.max_degree
-    layer = np.array([layers.layer_of[v] for (v,) in cx.simplices[0]], dtype=np.int64)
+    layer = np.array([layers.layer_of[v] for v in cx.topology.vertices], dtype=np.int64)
     sup: dict[tuple, tuple] = {}
     for g in range(0, n):
         k_of = layer[cx.topology.vertex_index(g)].min(axis=1)

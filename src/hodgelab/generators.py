@@ -296,7 +296,7 @@ def radial_weighting(cx: WeightedComplex, base: Iterable, alpha: float) -> Weigh
     """Replace every weight by (1 + max vertex distance from ``base``)^(-alpha)."""
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha = {alpha} must be finite and positive")
-    base = set(base)
+    base = list(base)
     if not base:
         raise ValueError("base set must be nonempty")
     dist = cx.topology.distances_from(base)
@@ -308,4 +308,4 @@ def radial_weighting(cx: WeightedComplex, base: Iterable, alpha: float) -> Weigh
     table = np.array([(1.0 + d) ** (-alpha) for d in range(int(vertex_dist.max(initial=0)) + 1)])
     weights = [table[vertex_dist[cx.topology.vertex_index(i)].max(axis=1)]
                for i in range(cx.max_degree + 1)]
-    return reweighted(cx, weights, meta={"radial_alpha": alpha, "radial_base_size": len(base)})
+    return reweighted(cx, weights, meta={"radial_alpha": alpha, "radial_base_size": len(set(base))})

@@ -25,6 +25,15 @@ def clique_counts(vertices, edge_pairs, n):
     return tuple(counts)
 
 
+def clique_tables(vertices, edge_pairs, n):
+    """Tables of the k-cliques for k = 1..n+1, each a sorted list of sorted
+    vertex tuples, by enumerating all vertex subsets."""
+    edges = {frozenset(e) for e in edge_pairs}
+    return [sorted(sub for sub in itertools.combinations(sorted(vertices), k)
+                   if all(frozenset(p) in edges for p in itertools.combinations(sub, 2)))
+            for k in range(1, n + 2)]
+
+
 def permutation_sign(t):
     """Parity via explicit selection-sort swap counting."""
     arr = list(t)

@@ -299,3 +299,66 @@ def test_weights_of_a_degree_outside_the_complex_are_refused(tmp_path, capsys, d
     code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
     assert_one_line_error(code, err)
     assert f"error: weights of degree {degree} outside 0..2" in err
+
+
+@pytest.mark.parametrize("command", ["chi", "divergence"])
+@pytest.mark.parametrize("roots,message", [
+    ('[{"x": 1}]', "error: root {'x': 1} not in complex"),
+    ("5", "error: --roots must be a JSON list of vertices, not '5'"),
+    ('[[0,0], "a"]', "error: root (0, 0) not in complex"),
+])
+def test_malformed_roots_are_refused(tmp_path, capsys, command, roots, message):
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(k3_description()))
+    extra = ["--layers", "distance", "--k-range", "0..1"] if command == "divergence" else []
+    code, _, err = run(capsys, command, "--input", str(cx_path), "--roots", roots, *extra)
+    assert_one_line_error(code, err)
+    assert err.strip() == message
+
+
+def _without_weights(doc):
+    return {k: v for k, v in doc.items() if k != "weights"}
+
+
+RADIAL = {"kind": "radial", "alpha": 1.0, "base": ["a"]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (dict(k3_description(), weights={"2": []}, weight_rule=RADIAL),
+     "a description gives either weights lists or a weight_rule, not both"),
+    (dict(_without_weights(k3_description()), weight_rule={"kind": "radial", "alpha": 1.0}),
+     "radial weight_rule needs 'base'"),
+    (dict(_without_weights(k3_description()), weight_rule={"kind": "radial", "base": ["a"]}),
+     "radial weight_rule needs 'alpha'"),
+    (dict(_without_weights(k3_description()), weight_rule=dict(RADIAL, base=[{"x": 1}])),
+     "root {'x': 1} not in complex"),
+])
+def test_malformed_weight_rule_is_refused(tmp_path, capsys, doc, message):
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(dict(_without_weights(k3_description()), weight_rule=RADIAL)))
+    code, _, _ = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert code == 0
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("key,field,entry", [
+    ("vertices", "m0", "vertex 'a'"),
+    ("edges", "m1", "edge ('a','b')"),
+    ("2", "m", "degree-2 simplex ('a', 'b', 'c')"),
+])
+def test_entries_listed_twice_with_different_weights_are_refused(tmp_path, capsys, key, field, entry):
+    """An entry repeated with its weight loads as one entry; with another
+    weight it is refused."""
+    doc = k3_description()
+    entries = doc["weights"]["2"] if key == "2" else doc[key]
+    entries.append(dict(entries[0]))
+    assert [w.tolist() for w in complex_from_json(doc).weights] == [[1.0] * 3, [1.0] * 3, [1.0]]
+    entries[-1][field] = 5.0
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert err.strip() == f"error: {entry} listed twice with different weights"

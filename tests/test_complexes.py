@@ -28,6 +28,7 @@ from oracles import (
     bfs_distances,
     boundary_matrix,
     clique_counts,
+    clique_tables,
     cofaces,
     growth_sups,
     permutation_sign,
@@ -217,15 +218,19 @@ def test_reweighted_refuses_weights_not_finite_and_positive(K3, degree, simplex,
 
 
 def test_zero_edge_weight_means_no_edge():
-    g = WeightedGraph({"a": 1.0, "b": 1.0}, {("a", "b"): 0.0})
-    assert g.m1 == {} and g.adjacency == {"a": set(), "b": set()}
+    g = WeightedGraph({"a": 1.0, "b": 1.0, "c": 1.0}, {("a", "b"): 0.0, ("b", "c"): 2.0})
+    assert g.m1 == {("b", "c"): 2.0}
+    cx = build_clique_complex(g, 1)
+    assert cx.topology.vertex_index(1).tolist() == [[1, 2]]
+    assert cx.simplices[1] == [("b", "c")] and cx.weights[1].tolist() == [2.0]
 
 
 @st.composite
 def weighted_graph_complexes(draw):
     """A clique complex of max degree 1 to 4 on a random graph with up to 9
     vertices, whose integer labels skip values so that labels and table
-    positions differ; weights in [0.1, 10] on every simplex."""
+    positions differ; weights in [0.1, 10] on every simplex.  Drawn as
+    ``(labels, edges, complex)``."""
     labels = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=9)))
     pairs = list(itertools.combinations(labels, 2))
     keep = draw(st.lists(st.sampled_from([True, True, False]), min_size=len(pairs),
@@ -235,7 +240,7 @@ def weighted_graph_complexes(draw):
     m1 = {p: draw(weight) for p, k in zip(pairs, keep) if k}
     cx = build_clique_complex(WeightedGraph(m0, m1), draw(st.integers(1, 4)))
     upper = [draw(st.lists(weight, min_size=size, max_size=size)) for size in cx.counts()[2:]]
-    return reweighted(cx, list(cx.weights[:2]) + upper)
+    return labels, list(m1), reweighted(cx, list(cx.weights[:2]) + upper)
 
 
 def _flags(data, table):
@@ -263,8 +268,21 @@ def _check_skeleton(cx, roots):
 
 
 @given(weighted_graph_complexes(), st.data())
-def test_topology_arrays_match_oracles(cx, data):
+def test_topology_arrays_match_oracles(graph, data):
+    labels, edges, cx = graph
     tables, top = cx.simplices, cx.topology
+    assert tables == clique_tables(labels, edges, cx.max_degree)
+    for i in range(cx.max_degree + 1):
+        assert [cx.index_of(i, s) for s in tables[i]] == [tables[i].index(s) for s in tables[i]]
+        non_clique = [s for s in itertools.combinations(labels, i + 1) if s not in tables[i]][:1]
+        unknown_label = [(-1,) + s[1:] for s in tables[i][:1]]
+        for s in non_clique + unknown_label:
+            with pytest.raises(KeyError):
+                cx.index_of(i, s)
+        for s in tables[i][:1]:
+            for wrong in (i - 1, i + 1):
+                with pytest.raises(KeyError):
+                    cx.index_of(wrong, s)
     vertex_pos = {v: p for p, (v,) in enumerate(tables[0])}
     roots = {v for v, f in zip(vertex_pos, _flags(data, tables[0])) if f}
     _check_skeleton(cx, roots)
@@ -322,8 +340,15 @@ def test_topology_arrays_match_oracles(cx, data):
 
 
 def test_topology_refuses_tables_without_their_faces():
-    with pytest.raises(ValueError, match="not closed under faces"):
-        Topology([[("a",), ("b",), ("c",)], [("a", "b")], [("a", "b", "c")]], 2)
+    top = Topology(["a", "b", "c"], [[[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]])
+    assert top.face_arrays[2].tolist() == [[2, 1, 0]] and top.simplices[2] == [("a", "b", "c")]
+    for tables in ([[[0, 1]], [[0, 1, 2]]],  # faces (0,2) and (1,2) missing
+                   [[[0, 1], [1, 2]], [[0, 1, 2]]],  # face (0,2) missing
+                   [[[0, 2], [0, 1], [1, 2]], []],  # rows out of order
+                   [[[0, 1], [1, 0]], []],  # vertices out of order within a row
+                   [[[0, 3]], []]):  # no vertex 3
+        with pytest.raises(ValueError, match="unsorted or not closed under faces"):
+            Topology(["a", "b", "c"], tables)
 
 
 def test_description_load_builds_each_kept_table_once(monkeypatch):
