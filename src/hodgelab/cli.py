@@ -133,7 +133,15 @@ def cmd_chi(args) -> int:
         if not args.region_file:
             raise ValueError("region mode needs --region-file")
         with open(args.region_file) as fh:
-            region = {_decode_vertex(v) for v in json.load(fh)}
+            listed = json.load(fh)
+        if not isinstance(listed, list):
+            raise ValueError(f"--region-file must hold a JSON list of vertices, not {listed!r}")
+        region = set()
+        for v in map(_decode_vertex, listed):
+            try:
+                region.add(v)
+            except TypeError:
+                raise ValueError(f"--region-file vertex {v!r} is not hashable") from None
         coupling = chi_mod.coupling_block(cx, region)
         cx = induced_subcomplex(cx, region)
         coupling_info = {

@@ -435,7 +435,11 @@ def _json_safe(x) -> bool:
 
 def _listed_once(weights: dict, key, w: float, what: str) -> None:
     """``weights[key] = w``; an entry listed again must repeat its weight."""
-    if weights.setdefault(key, w) != w:
+    try:
+        prev = weights.setdefault(key, w)
+    except TypeError:
+        raise ValueError(f"{what} is not hashable: ids are numbers, strings or lists of them") from None
+    if prev != w:
         raise ValueError(f"{what} listed twice with different weights")
 
 
@@ -471,6 +475,8 @@ def complex_from_json(doc: dict) -> WeightedComplex:
     for k, lst in (doc.get("weights") or {}).items():
         if not 0 <= int(k) <= n:
             raise ValueError(f"weights of degree {k} outside 0..{n}")
+        if int(k) in explicit:
+            raise ValueError(f"weights key {k!r} names degree {int(k)} again")
         explicit[int(k)] = listed = {}
         for item in lst:
             s = tuple(_decode_vertex(v) for v in item["simplex"])

@@ -219,10 +219,12 @@ def symmetrized_laplacian(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
 
 
 def _scaled_coboundary(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
+    """W = M_{degree+1}^{1/2} d M_degree^{-1/2} on the sparsity pattern of d,
+    each entry multiplied in the order of the two diagonal products."""
     d = coboundary_matrix(cx, degree)
-    s_up = sp.diags(np.sqrt(cx.weights[degree + 1]))
-    s_dn = sp.diags(1.0 / np.sqrt(cx.weights[degree]))
-    return (s_up @ d @ s_dn).tocsr()
+    s_up = np.repeat(np.sqrt(cx.weights[degree + 1]), np.diff(d.indptr))
+    s_dn = 1.0 / np.sqrt(cx.weights[degree])
+    return sp.csr_matrix((d.data * s_up * s_dn[d.indices], d.indices, d.indptr), shape=d.shape)
 
 
 def assemble_block(cx: WeightedComplex, kind: str, degree: int | None = None) -> OperatorBlock:

@@ -36,7 +36,10 @@ __all__ = [
     "DENSE_CUTOVER",
 ]
 
-DENSE_CUTOVER = 2000
+# the largest block solved densely: measured per block size on 2 cores, dense
+# eigh won below 190 rows and shift-invert eigsh from 231 rows (how_many=1)
+# or 341 rows (how_many=4); in between the two ran close
+DENSE_CUTOVER = 200
 ITERATION_BUDGET = 10_000
 KERNEL_THRESH = 1e-8
 

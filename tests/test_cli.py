@@ -362,3 +362,56 @@ def test_entries_listed_twice_with_different_weights_are_refused(tmp_path, capsy
     code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
     assert_one_line_error(code, err)
     assert err.strip() == f"error: {entry} listed twice with different weights"
+
+
+def _with_id(doc, vertex=None, simplex=None):
+    """K3 with vertex c renamed ``vertex`` everywhere, or with ``simplex``
+    as its listed triangle."""
+    if vertex is not None:
+        doc["vertices"][2]["id"] = doc["edges"][1]["v"] = doc["edges"][2]["v"] = vertex
+        doc["weights"]["2"][0]["simplex"][2] = vertex
+    if simplex is not None:
+        doc["weights"]["2"][0]["simplex"] = simplex
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_with_id(k3_description(), vertex={"x": 1}), "vertex {'x': 1}"),
+    (_with_id(k3_description(), vertex=["c", {"x": 1}]), "vertex ('c', {'x': 1})"),
+    (_with_id(k3_description(), simplex=["a", "b", {"x": 1}]), "degree-2 simplex ('a', 'b', {'x': 1})"),
+])
+def test_unhashable_ids_are_refused(tmp_path, capsys, doc, message):
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert err.strip() == f"error: {message} is not hashable: ids are numbers, strings or lists of them"
+
+
+@pytest.mark.parametrize("region,message", [
+    ([{"x": 1}], "error: --region-file vertex {'x': 1} is not hashable"),
+    (5, "error: --region-file must hold a JSON list of vertices, not 5"),
+    ({"a": 1}, "error: --region-file must hold a JSON list of vertices, not {'a': 1}"),
+])
+def test_malformed_region_file_is_refused(tmp_path, capsys, region, message):
+    cx_path, region_path = tmp_path / "k3.json", tmp_path / "region.json"
+    cx_path.write_text(json.dumps(k3_description()))
+    region_path.write_text(json.dumps(["a", "b"]))
+    argv = ["chi", "--input", str(cx_path), "--mode", "region", "--region-file", str(region_path),
+            "--k-range", "0..1", "--roots", '["a"]']
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    region_path.write_text(json.dumps(region))
+    code, _, err = run(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert err.strip() == message
+
+
+def test_weights_keys_naming_one_degree_twice_are_refused(tmp_path, capsys):
+    doc = k3_description()
+    doc["weights"]["02"] = []
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: weights key '02' names degree 2 again"

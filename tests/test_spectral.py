@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hodgelab import build_clique_complex, drop_simplices
-from hodgelab.generators import offspring_tree_family, gen_lattice, gen_truncated_tree
+from hodgelab.generators import offspring_tree_family, gen_lattice, gen_truncated_tree, radial_weighting
+from hodgelab.operators import _scaled_coboundary, coboundary_matrix
 from hodgelab.spectral import (
+    DENSE_CUTOVER,
+    KERNEL_THRESH,
     boundary_weight_down,
     esa_sweep,
     hodge_decompose,
@@ -13,7 +17,7 @@ from hodgelab.spectral import (
 )
 
 from conftest import unit_graph
-from oracles import betti_by_rank, bfs_distances, graph_laplacian
+from oracles import betti_by_rank, bfs_distances, boundary_matrix, graph_laplacian
 
 
 def test_spectrum_k3(K3):
@@ -50,6 +54,48 @@ def test_dense_and_iterative_agree():
     a = np.repeat(dense.eigenvalues, dense.multiplicities)[:4]
     b = np.repeat(iterative.eigenvalues, iterative.multiplicities)[:4]
     assert np.max(np.abs(a - b)) <= 1e-8
+
+
+def _oracle_block(cx, degree):
+    """M^{1/2} L M^{-1/2} from explicit boundary matrices and the weights."""
+    tables, m = cx.simplices, cx.weights
+    A = np.zeros((len(tables[degree]),) * 2)
+    for i in (degree, degree - 1):
+        if 0 <= i < cx.max_degree:
+            W = np.sqrt(m[i + 1])[:, None] * boundary_matrix(tables[i], tables[i + 1]).T / np.sqrt(m[i])
+            A += W.T @ W if i == degree else W @ W.T
+    return A
+
+
+@pytest.mark.parametrize("off,depth,degree", [("2", 8, 0), ("2", 8, 1), ("2", 8, 2), ("2", 8, 3),
+                                              ("n^2", 5, 1)])
+def test_auto_route_matches_dense_oracle(off, depth, degree):
+    """Blocks on both sides of DENSE_CUTOVER (511, 935, 510, 85 and 1855 rows)."""
+    cx = offspring_tree_family(off, depth)
+    rep = spectrum(cx, degree, how_many=4, method="auto")
+    assert rep.method == ("dense" if cx.size(degree) <= DENSE_CUTOVER else "iterative")
+    assert rep.converged
+    ref = np.linalg.eigvalsh(_oracle_block(cx, degree))[:4]
+    got = np.repeat(rep.eigenvalues, rep.multiplicities)
+    assert len(got) == 4
+    nonzero = ref > KERNEL_THRESH
+    assert (got > KERNEL_THRESH).tolist() == nonzero.tolist()
+    assert np.all(np.abs(got[nonzero] - ref[nonzero]) <= 1e-10 * ref[nonzero])
+    # eigenvalues closer than 1e-8 form one multiple eigenvalue
+    breaks = np.flatnonzero(np.diff(ref) > 1e-8) + 1
+    assert rep.multiplicities == np.diff(np.r_[0, breaks, len(ref)]).tolist()
+
+
+def test_scaled_coboundary_is_the_two_diagonal_products():
+    lattice = gen_lattice(2, 2, 4)
+    for cx in (radial_weighting(lattice, [(0, 0)], 1.5), boundary_weight_down(offspring_tree_family("n^2", 4))):
+        for i in range(cx.max_degree):
+            d = coboundary_matrix(cx, i)
+            want = (sp.diags(np.sqrt(cx.weights[i + 1])) @ d @ sp.diags(1.0 / np.sqrt(cx.weights[i]))).tocsr()
+            got = _scaled_coboundary(cx, i)
+            assert got.shape == want.shape
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_psd_across_examples(K4, four_cycle):
