@@ -16,7 +16,6 @@ from .complexes import (
 )
 from .operators import (
     Cochain,
-    OperatorBlock,
     adjointness_check,
     assemble_block,
     coboundary_apply,
@@ -38,7 +37,6 @@ __all__ = [
     "induced_subcomplex",
     "weighted_degree",
     "Cochain",
-    "OperatorBlock",
     "adjointness_check",
     "assemble_block",
     "coboundary_apply",

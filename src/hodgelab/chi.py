@@ -146,29 +146,25 @@ def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[dict, float]:
 
 @dataclass
 class CutoffSystem:
-    """Exhaustion plus one plateau cut-off per index k."""
+    """One plateau cut-off per index k."""
 
-    exhaustion: Exhaustion
     ks: tuple
     chis: dict
     ramp: tuple
-    mode: str = "global"
-    level: int | None = None
 
     def chi(self, k: int) -> dict:
         return self.chis[k]
 
 
 def make_cutoff_system(cx: WeightedComplex, exh: Exhaustion, ks: Sequence[int],
-                       ramp=("linear", 1), mode: str = "global",
-                       level: int | None = None) -> CutoffSystem:
+                       ramp=("linear", 1)) -> CutoffSystem:
     ks = tuple(ks)
     chis = {k: make_plateau_cutoff(exh, k, ramp) for k in ks}
     # a callable's repr holds a memory address, so it is recorded as a fixed token
     ramp_desc = (ramp[0],) + tuple(
         "<callable>" if callable(x) else (x if isinstance(x, (int, float)) else repr(x))
         for x in ramp[1:])
-    return CutoffSystem(exhaustion=exh, ks=ks, chis=chis, ramp=ramp_desc, mode=mode, level=level)
+    return CutoffSystem(ks=ks, chis=chis, ramp=ramp_desc)
 
 
 def energy_functional(cx: WeightedComplex, chi: Mapping, degree: int):
@@ -250,7 +246,6 @@ class EnergyProfile:
     degrees: tuple
     ks: tuple
     table: list          # rows aligned with degrees
-    witnesses: list      # same layout, vertex tuples or None
     row_verdicts: dict
     verdict: str
     constant_C: float
@@ -279,12 +274,9 @@ def _profile(cx: WeightedComplex, cutoffs: CutoffSystem, degrees: Sequence[int],
     degrees = tuple(degrees)
     ks = cutoffs.ks
 
-    table, witnesses = [], []
-    for d in degrees:
-        # degree 0 is vacuous: no lower structure to normalize by
-        row = [energy_functional(cx, cutoffs.chi(k), d) if d else (0.0, None) for k in ks]
-        table.append([v for v, _ in row])
-        witnesses.append([w for _, w in row])
+    # degree 0 is vacuous: no lower structure to normalize by
+    table = [[energy_functional(cx, cutoffs.chi(k), d)[0] if d else 0.0 for k in ks]
+             for d in degrees]
     row_verdicts = {d: classify_entries(table[r]) for r, d in enumerate(degrees)}
     if any(v == GROWING for v in row_verdicts.values()):
         verdict = GROWING
@@ -302,7 +294,6 @@ def _profile(cx: WeightedComplex, cutoffs: CutoffSystem, degrees: Sequence[int],
         degrees=degrees,
         ks=ks,
         table=table,
-        witnesses=witnesses,
         row_verdicts=row_verdicts,
         verdict=verdict,
         constant_C=max((max(row) for row in table), default=0.0),
@@ -311,13 +302,9 @@ def _profile(cx: WeightedComplex, cutoffs: CutoffSystem, degrees: Sequence[int],
     )
 
 
-def check_global_chi(cx: WeightedComplex, cutoffs: CutoffSystem,
-                     degrees: Sequence[int] | None = None) -> EnergyProfile:
+def check_global_chi(cx: WeightedComplex, cutoffs: CutoffSystem) -> EnergyProfile:
     """Energy sweep across all degrees 1..n with a single cut-off system."""
-    if cutoffs.mode != "global":
-        raise ValueError("cutoff system is not in global mode")
-    degrees = tuple(degrees) if degrees else tuple(range(1, cx.max_degree + 1))
-    return _profile(cx, cutoffs, degrees, "global")
+    return _profile(cx, cutoffs, range(1, cx.max_degree + 1), "global")
 
 
 def check_level_chi(cx: WeightedComplex, cutoffs: CutoffSystem, level: int) -> EnergyProfile:
@@ -332,26 +319,21 @@ class CouplingReport:
     """Finite-truncation evidence about the region/complement coupling of D.
 
     Compactness of the coupling is not decidable at finite scale; only the
-    block, its numerical rank and its largest singular value are reported.
+    block's numerical rank, largest singular value and nnz, and the count of
+    simplices straddling the region boundary, are reported.
     """
 
-    in_indices: np.ndarray
-    out_indices: np.ndarray
-    D_in: object
-    D_out: object
-    C: object
     rank: int
     sigma_max: float
     nnz: int
-    coupled_in: int
-    coupled_out: int
     cross_simplices: int
     label: str = "finite-truncation evidence"
 
 
 def coupling_block(cx: WeightedComplex, region: Iterable,
                    rank_tol: float = 1e-10) -> CouplingReport:
-    """Split D into [[D_in, C], [C*, D_out]] by region membership of simplices."""
+    """The block C of D = [[D_in, C], [C*, D_out]], split by region membership
+    of simplices, and its singular values."""
     region = set(region)
     D = gauss_bonnet_matrix(cx).tocsr()
     inside = np.array([v in region for v in cx.topology.vertices], dtype=bool)
@@ -359,34 +341,16 @@ def coupling_block(cx: WeightedComplex, region: Iterable,
     hits = [inside[cx.topology.vertex_index(i)].sum(axis=1) for i in range(cx.max_degree + 1)]
     flags = np.concatenate([h == i + 1 for i, h in enumerate(hits)])
     cross = sum(int(np.count_nonzero((h > 0) & (h <= i))) for i, h in enumerate(hits))
-    in_idx = np.nonzero(flags)[0]
-    out_idx = np.nonzero(~flags)[0]
-    D_in = D[in_idx][:, in_idx]
-    D_out = D[out_idx][:, out_idx]
-    C = D[in_idx][:, out_idx].tocsr()
+    C = D[np.nonzero(flags)[0]][:, np.nonzero(~flags)[0]].tocsr()
     if C.nnz == 0:
         rank, smax = 0, 0.0
     else:
-        rows = np.unique(C.tocoo().row)
-        cols = np.unique(C.tocoo().col)
-        dense = C[rows][:, cols].toarray()
+        coo = C.tocoo()
+        dense = C[np.unique(coo.row)][:, np.unique(coo.col)].toarray()
         svals = np.linalg.svd(dense, compute_uv=False)
         smax = float(svals[0])
         rank = int(np.sum(svals > rank_tol * max(1.0, smax)))
-    coo = C.tocoo()
-    return CouplingReport(
-        in_indices=in_idx,
-        out_indices=out_idx,
-        D_in=D_in,
-        D_out=D_out,
-        C=C,
-        rank=rank,
-        sigma_max=smax,
-        nnz=C.nnz,
-        coupled_in=len(np.unique(coo.row)),
-        coupled_out=len(np.unique(coo.col)),
-        cross_simplices=cross,
-    )
+    return CouplingReport(rank=rank, sigma_max=smax, nnz=C.nnz, cross_simplices=cross)
 
 
 def averaged_extension(cx: WeightedComplex, chi: Mapping, degree: int) -> np.ndarray:

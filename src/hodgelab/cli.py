@@ -9,6 +9,7 @@ only malformed input sets a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -41,19 +42,22 @@ def _load_complex(path: str):
         return complex_from_json(json.load(fh))
 
 
-def _emit(args, result: dict, stream=None) -> None:
-    stream = stream or sys.stdout
+def _write(args, text: str) -> None:
+    """Write a report to ``--output``, or to stdout without one."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, result: dict) -> None:
     report = {
         "version": __version__,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
         "result": result,
     }
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        stream.write(text + "\n")
+    _write(args, json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def _json_default(x):
@@ -94,13 +98,7 @@ def cmd_generate(args) -> int:
     if args.radial_alpha is not None:
         base = {cx.topology.vertices[0]} if kind in ("tree", "offspring-tree") else {(0,) * args.d}
         cx = gen.radial_weighting(cx, base, args.radial_alpha)
-    doc = complex_to_json(cx)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(complex_to_json(cx), sort_keys=True, indent=2) + "\n")
     counts = cx.counts()
     print("counts: " + " ".join(f"|P_{i}|={c}" for i, c in enumerate(counts)), file=sys.stderr)
     return 0
@@ -109,11 +107,8 @@ def cmd_generate(args) -> int:
 def cmd_assemble(args) -> int:
     cx = _load_complex(args.input)
     block = assemble_block(cx, args.kind, args.degree)
-    export_coordinate_text(block.matrix, args.output if args.output else sys.stdout)
-    print(
-        f"{args.kind} degree={args.degree} shape={block.matrix.shape} nnz={block.matrix.nnz}",
-        file=sys.stderr,
-    )
+    export_coordinate_text(block, args.output if args.output else sys.stdout)
+    print(f"{args.kind} degree={args.degree} shape={block.shape} nnz={block.nnz}", file=sys.stderr)
     return 0
 
 
@@ -142,22 +137,16 @@ def cmd_chi(args) -> int:
                 region.add(v)
             except TypeError:
                 raise ValueError(f"--region-file vertex {v!r} is not hashable") from None
-        coupling = chi_mod.coupling_block(cx, region)
+        coupling = dataclasses.asdict(chi_mod.coupling_block(cx, region))
         cx = induced_subcomplex(cx, region)
-        coupling_info = {
-            "rank": coupling.rank,
-            "sigma_max": coupling.sigma_max,
-            "nnz": coupling.nnz,
-            "cross_simplices": coupling.cross_simplices,
-            "label": coupling.label,
-        }
     else:
-        coupling_info = None
-    exh = chi_mod.make_ball_exhaustion(cx, _roots_for(cx, args), max(ks))
+        coupling = None
+    roots = _roots_for(cx, args)
+    exh = chi_mod.make_ball_exhaustion(cx, roots, max(ks))
     if args.ramp == "linear":
         ramp = ("linear", args.ramp_width)
     else:
-        layers = div_mod.layers_by_distance(cx, _roots_for(cx, args))
+        layers = div_mod.layers_by_distance(cx, roots)
         # the outermost layer has no forward layer; its zero count is a
         # truncation artifact, so the budget extends the last interior value
         interior = range(max(1, layers.num_layers() - 1))
@@ -167,7 +156,7 @@ def cmd_chi(args) -> int:
             raise ValueError("growth vanishes on an interior layer; "
                              "no budget-weighted ramp exists (use --ramp linear)")
         ramp = ("divergence", div_mod._as_xi_fn(xi_seq), args.horizon)
-    cutoffs = chi_mod.make_cutoff_system(cx, exh, ks, ramp, mode="global")
+    cutoffs = chi_mod.make_cutoff_system(cx, exh, ks, ramp)
     if args.mode == "level":
         if args.level is None:
             raise ValueError("level mode needs --level")
@@ -175,31 +164,32 @@ def cmd_chi(args) -> int:
     else:
         profile = chi_mod.check_global_chi(cx, cutoffs)
     result = profile.to_json()
-    if coupling_info:
-        result["coupling"] = coupling_info
+    if coupling:
+        result["coupling"] = coupling
     _emit(args, result)
     return 0
 
 
 def cmd_divergence(args) -> int:
+    if (args.input is None) == (args.xi is None):
+        raise ValueError("divergence needs exactly one of --input and --xi")
     ks = _parse_range(args.k_range, "--k-range")
     result: dict = {}
-    if args.xi:
+    if args.xi is not None:
         xi_fn = gen.parse_offspring(args.xi)
-        psums = div_mod.divergence_partial_sums(xi_fn, ks)
+        top = max(ks)
         result["xi_model"] = args.xi
         result["breakdown"] = None
     else:
         cx = _load_complex(args.input)
         layers = (div_mod.layers_by_depth(cx) if args.layers == "depth"
                   else div_mod.layers_by_distance(cx, _roots_for(cx, args)))
-        last = layers.num_layers() - 1
-        if min(ks) < 0 or max(ks) > last:
-            raise ValueError(f"--k-range {args.k_range!r} must lie within the layers 0..{last}")
+        top = layers.num_layers() - 1
+        if min(ks) < 0 or max(ks) > top:
+            raise ValueError(f"--k-range {args.k_range!r} must lie within the layers 0..{top}")
         report = div_mod.validate_decomposition(cx, layers)
         table = div_mod.growth_table(cx, layers, ks)
-        xi_seq = {k: table[k][0] for k in ks}
-        psums = div_mod.divergence_partial_sums([xi_seq.get(k) for k in range(max(ks) + 1)], ks)
+        xi_fn = div_mod._as_xi_fn([table[k][0] if k in table else None for k in range(max(ks) + 1)])
         result["breakdown"] = {
             str(k): {str(g): [b[0], list(b[1]) if b[1] else None]
                      for g, b in table[k][1].items()}
@@ -207,14 +197,9 @@ def cmd_divergence(args) -> int:
         }
         result["decomposition_ok"] = report.ok
         result["unit_jump_violations"] = len(report.violations)
-    result.update(psums.to_json())
+    result.update(div_mod.divergence_partial_sums(xi_fn, ks).to_json())
     if args.cutoff_n is not None:
-        if args.xi:
-            profile, _ = chi_mod.budget_profile(xi_fn, args.cutoff_n, args.horizon, max(ks))
-        else:
-            _, info = div_mod.divergence_cutoffs(
-                layers, [xi_seq.get(k) for k in range(max(ks) + 1)], args.cutoff_n, args.horizon)
-            profile = info["layer_profile"]
+        profile, _ = chi_mod.budget_profile(xi_fn, args.cutoff_n, args.horizon, top)
         result["cutoff_profiles"] = {str(args.cutoff_n): {str(l): v for l, v in profile.items()}}
     _emit(args, result)
     return 0
@@ -230,8 +215,7 @@ def cmd_spectrum(args) -> int:
             for _ in range(m):
                 lines.append(f"{rep.degree},{rank},{_csv_cell(float(v))}")
                 rank += 1
-        text = "\n".join(lines) + "\n"
-        (open(args.output, "w") if args.output else sys.stdout).write(text)
+        _write(args, "\n".join(lines) + "\n")
         return 0
     _emit(args, rep.to_json())
     return 0
@@ -269,8 +253,7 @@ def cmd_sweep(args) -> int:
             for d, vals in sorted(row["smallest_eigenvalues"].items(), key=lambda kv: int(kv[0])):
                 for rank, v in enumerate(vals):
                     lines.append(f"{row['depth']},{d},{rank},{_csv_cell(float(v))}")
-        text = "\n".join(lines) + "\n"
-        (open(args.output, "w") if args.output else sys.stdout).write(text)
+        _write(args, "\n".join(lines) + "\n")
         return 0
     _emit(args, table)
     return 0
@@ -374,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -57,7 +57,10 @@ def canonical_sign(vertices: Sequence[Vertex]) -> tuple[tuple, int]:
 def _positive_weight(w, what: str, *args) -> float:
     """``w`` as a float, refused with a ValueError naming ``what.format(*args)``
     unless it is finite and positive."""
-    w = float(w)
+    try:
+        w = float(w)
+    except TypeError:
+        raise ValueError(f"{what.format(*args)} = {w!r:.40} is not a number") from None
     if not 0 < w < math.inf:
         raise ValueError(f"{what.format(*args)} = {w} must be finite and positive")
     return w
@@ -433,6 +436,15 @@ def _json_safe(x) -> bool:
         return False
 
 
+def _shaped(value, kind, what: str):
+    """``value``, refused with a ValueError naming ``what`` unless it is a
+    ``kind`` (a bool is no integer)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        raise ValueError(f"description {what} must be {name}, not {value!r:.40}")
+    return value
+
+
 def _listed_once(weights: dict, key, w: float, what: str) -> None:
     """``weights[key] = w``; an entry listed again must repeat its weight."""
     try:
@@ -450,17 +462,19 @@ def complex_from_json(doc: dict) -> WeightedComplex:
     degrees without a list default to weight 1 on every clique whose faces
     are present.  A ``weight_rule`` of kind ``radial`` replaces every weight
     instead, and any other rule is refused.  The description's ``meta`` is
-    kept.
+    kept.  A value of the wrong JSON shape is refused with a ValueError that
+    names its key.
     """
+    _shaped(doc, dict, "document")
     m0, m1 = {}, {}
-    for item in doc["vertices"]:
-        v = _decode_vertex(item["id"])
+    for item in _shaped(doc["vertices"], list, "'vertices'"):
+        v = _decode_vertex(_shaped(item, dict, "'vertices' entry")["id"])
         _listed_once(m0, v, _positive_weight(item["m0"], "m0({!r})", v), f"vertex {v!r}")
-    for item in doc["edges"]:
-        u, v = _decode_vertex(item["u"]), _decode_vertex(item["v"])
+    for item in _shaped(doc["edges"], list, "'edges'"):
+        u, v = _decode_vertex(_shaped(item, dict, "'edges' entry")["u"]), _decode_vertex(item["v"])
         _listed_once(m1, (u, v), _positive_weight(item["m1"], "m1({!r},{!r})", u, v), f"edge ({u!r},{v!r})")
     graph = WeightedGraph(m0, m1)
-    n = int(doc["max_degree"])
+    n = _shaped(doc["max_degree"], int, "'max_degree'")
     rule = doc.get("weight_rule")
     if rule is not None:
         kind = rule.get("kind") if isinstance(rule, dict) else rule
@@ -469,17 +483,19 @@ def complex_from_json(doc: dict) -> WeightedComplex:
         for key in ("base", "alpha"):
             if key not in rule:
                 raise ValueError(f"radial weight_rule needs {key!r}")
+        _shaped(rule["base"], list, "weight_rule 'base'")
         if doc.get("weights"):
             raise ValueError("a description gives either weights lists or a weight_rule, not both")
     explicit = {}
-    for k, lst in (doc.get("weights") or {}).items():
+    for k, lst in _shaped(doc.get("weights") or {}, dict, "'weights'").items():
         if not 0 <= int(k) <= n:
             raise ValueError(f"weights of degree {k} outside 0..{n}")
         if int(k) in explicit:
             raise ValueError(f"weights key {k!r} names degree {int(k)} again")
         explicit[int(k)] = listed = {}
-        for item in lst:
-            s = tuple(_decode_vertex(v) for v in item["simplex"])
+        for item in _shaped(lst, list, f"'weights' of degree {k}"):
+            item = _shaped(item, dict, f"degree-{k} 'weights' entry")
+            s = tuple(map(_decode_vertex, _shaped(item["simplex"], list, f"degree-{k} 'simplex'")))
             _listed_once(listed, s, _positive_weight(item["m"], "degree-{} weight m{!r}", k, s),
                          f"degree-{k} simplex {s!r}")
 
@@ -500,5 +516,5 @@ def complex_from_json(doc: dict) -> WeightedComplex:
             weights[i] = np.empty(len(j))
             weights[i][j] = list(listed.values())
         cx = WeightedComplex(top, weights)
-    cx.meta.update(doc.get("meta") or {})
+    cx.meta.update(_shaped(doc.get("meta") or {}, dict, "'meta'"))
     return cx

@@ -30,7 +30,6 @@ __all__ = [
     "layers_by_distance",
     "ValidationReport",
     "validate_decomposition",
-    "growth_function",
     "growth_table",
     "PartialSumReport",
     "divergence_partial_sums",
@@ -42,10 +41,10 @@ __all__ = [
 
 @dataclass
 class LayerDecomposition:
-    """Ordered partition of the vertex set with an origin rule label."""
+    """Ordered partition of the vertex set: ``layers[k]`` lists the vertices
+    of layer k in sorted order."""
 
     layer_of: dict
-    origin: str = ""
 
     def __post_init__(self):
         top = max(self.layer_of.values(), default=-1)
@@ -56,13 +55,10 @@ class LayerDecomposition:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def layer(self, v) -> int:
-        return self.layer_of[v]
-
 
 def layers_by_depth(cx: WeightedComplex) -> LayerDecomposition:
     """Layer = word length; for rooted-tree families whose ids are tuples."""
-    return LayerDecomposition({v: len(v) for v in cx.topology.vertices}, origin="depth")
+    return LayerDecomposition({v: len(v) for v in cx.topology.vertices})
 
 
 def layers_by_distance(cx: WeightedComplex, roots: Iterable) -> LayerDecomposition:
@@ -70,7 +66,7 @@ def layers_by_distance(cx: WeightedComplex, roots: Iterable) -> LayerDecompositi
     missing = len(cx.topology.vertices) - len(dist)
     if missing:
         raise ValueError(f"{missing} vertices unreachable from roots")
-    return LayerDecomposition(dist, origin="graph distance")
+    return LayerDecomposition(dist)
 
 
 @dataclass
@@ -105,19 +101,13 @@ def validate_decomposition(cx: WeightedComplex, layers: LayerDecomposition) -> V
     )
 
 
-def growth_function(cx: WeightedComplex, layers: LayerDecomposition, k: int):
-    """xi(k, k+1) and its per-degree breakdown at one layer index.
-
-    Returns (xi, breakdown) where breakdown[g] = (sup, witness) over degree-g
-    simplices with minimum vertex layer k, counting coface extensions into
-    layer k+1.  Undefined (None) when layer k holds no vertex.
-    """
-    table = growth_table(cx, layers, [k])
-    return table[k]
-
-
 def growth_table(cx: WeightedComplex, layers: LayerDecomposition, ks: Sequence[int]) -> dict:
-    """Bulk xi(k, k+1) for several k from one forward-extension count per degree."""
+    """xi(k, k+1) for several k from one forward-extension count per degree.
+
+    Returns {k: (xi, breakdown)} with breakdown[g] = (sup, witness) over the
+    degree-g simplices of minimum vertex layer k, counting coface extensions
+    into layer k+1; (None, {}) where layer k holds no vertex.
+    """
     wanted = set(int(k) for k in ks)
     n = cx.max_degree
     layer = np.array([layers.layer_of[v] for v in cx.topology.vertices], dtype=np.int64)

@@ -17,7 +17,6 @@ from .complexes import WeightedComplex, canonical_sign
 
 __all__ = [
     "Cochain",
-    "OperatorBlock",
     "inner_product",
     "norm",
     "coboundary_apply",
@@ -61,19 +60,6 @@ class Cochain:
     def value_on(self, cx: WeightedComplex, vertices) -> complex:
         key, sign = canonical_sign(vertices)
         return sign * self.values[cx.index_of(self.degree, key)]
-
-    def copy(self) -> "Cochain":
-        return Cochain(self.degree, self.values.copy())
-
-
-@dataclass
-class OperatorBlock:
-    """Sparse realization of one operator with its simplex-table indexing."""
-
-    kind: str
-    source_degree: int
-    target_degree: int
-    matrix: sp.spmatrix
 
 
 def inner_product(cx: WeightedComplex, degree: int, f: np.ndarray, g: np.ndarray) -> complex:
@@ -227,27 +213,24 @@ def _scaled_coboundary(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
     return sp.csr_matrix((d.data * s_up * s_dn[d.indices], d.indices, d.indptr), shape=d.shape)
 
 
-def assemble_block(cx: WeightedComplex, kind: str, degree: int | None = None) -> OperatorBlock:
-    """Assemble one named operator block with its row/column degrees."""
+def assemble_block(cx: WeightedComplex, kind: str, degree: int | None = None) -> sp.csr_matrix:
+    """Assemble one named operator block; ``gauss_bonnet`` takes no degree."""
     if kind == "coboundary":
-        return OperatorBlock(kind, degree, degree + 1, coboundary_matrix(cx, degree))
+        return coboundary_matrix(cx, degree)
     if kind == "codifferential":
-        return OperatorBlock(kind, degree, degree - 1, codifferential_matrix(cx, degree))
+        return codifferential_matrix(cx, degree)
     if kind == "laplacian_block":
-        return OperatorBlock(kind, degree, degree, laplacian_matrix(cx, degree))
+        return laplacian_matrix(cx, degree)
     if kind == "gauss_bonnet":
-        return OperatorBlock(kind, -1, -1, gauss_bonnet_matrix(cx))
+        return gauss_bonnet_matrix(cx)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def random_cochain(cx: WeightedComplex, degree: int, rng: np.random.Generator,
-                   normalized: bool = True) -> Cochain:
+def random_cochain(cx: WeightedComplex, degree: int, rng: np.random.Generator) -> Cochain:
+    """Random cochain drawn from ``rng``, scaled to unit weighted norm."""
     v = rng.standard_normal(cx.size(degree))
-    if normalized:
-        nv = norm(cx, degree, v)
-        if nv > 0:
-            v = v / nv
-    return Cochain(degree, v)
+    nv = norm(cx, degree, v)
+    return Cochain(degree, v / nv if nv > 0 else v)
 
 
 def adjointness_check(cx: WeightedComplex, degree: int, trials: int = 100, seed: int = 0) -> float:

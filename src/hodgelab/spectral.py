@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .complexes import WeightedComplex, reweighted
@@ -53,9 +52,6 @@ class SpectrumReport:
     residuals: list
     converged: bool = True
     message: str = ""
-
-    def smallest(self) -> float:
-        return self.eigenvalues[0]
 
     def to_json(self) -> dict:
         return {
@@ -144,8 +140,12 @@ def hodge_decompose(cx: WeightedComplex, ell: int, rank_tol: float = 1e-10) -> H
 
     Bases are orthonormal in the weighted inner product (computed in the
     M^{1/2} frame and mapped back); dimensions always sum to the table size.
+    A singular value counts toward a rank when it exceeds ``rank_tol`` times
+    the largest one (at least 1), so ``rank_tol`` must lie in (0, 1).
     """
     _check_degree(cx, ell)
+    if not 0 < rank_tol < 1:
+        raise ValueError(f"rank tolerance {rank_tol} must lie in (0, 1)")
     n_ell = cx.size(ell)
     inv_sqrt = 1.0 / np.sqrt(cx.weights[ell])
 
@@ -174,9 +174,8 @@ def hodge_decompose(cx: WeightedComplex, ell: int, rank_tol: float = 1e-10) -> H
         rank = int(np.sum(s > rank_tol * max(1.0, s[0] if len(s) else 0.0)))
         kernel = Vh[rank:].T
     if kernel.shape[1] != betti:
-        raise AssertionError(
-            f"kernel dimension {kernel.shape[1]} disagrees with rank count {betti}"
-        )
+        raise ValueError(f"kernel dimension {kernel.shape[1]} disagrees with rank count "
+                         f"{betti} at rank tolerance {rank_tol}")
     return HodgeDecomposition(
         degree=ell,
         basis_im_d=back(U_d),

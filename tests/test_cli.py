@@ -415,3 +415,70 @@ def test_weights_keys_naming_one_degree_twice_are_refused(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
     assert_one_line_error(code, err)
     assert err.strip() == "error: weights key '02' names degree 2 again"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([k3_description()], "description document must be an object, not [{'vertices': [{'id': 'a', 'm0': 1.0}, {"),
+    (dict(k3_description(), vertices=["a", "b", "c"]),
+     "description 'vertices' entry must be an object, not 'a'"),
+    (dict(k3_description(), edges=5), "description 'edges' must be a list, not 5"),
+    (dict(k3_description(), max_degree=None), "description 'max_degree' must be an integer, not None"),
+    (dict(k3_description(), max_degree=2.5), "description 'max_degree' must be an integer, not 2.5"),
+    (k3_description(m0=[1]), "m0('a') = [1] is not a number"),
+    (dict(k3_description(), weights=[1]), "description 'weights' must be an object, not [1]"),
+    (dict(k3_description(), weights={"2": 5}), "description 'weights' of degree 2 must be a list, not 5"),
+    (dict(k3_description(), weights={"2": [{"simplex": 5, "m": 1.0}]}),
+     "description degree-2 'simplex' must be a list, not 5"),
+    (dict(_without_weights(k3_description()), weight_rule=dict(RADIAL, base=5)),
+     "description weight_rule 'base' must be a list, not 5"),
+    (dict(k3_description(), meta=[1]), "description 'meta' must be an object, not [1]"),
+])
+def test_description_of_the_wrong_shape_is_refused(tmp_path, capsys, doc, message):
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv", [["generate", "--kind", "lattice", "--radius", "2", "--output"],
+                                  ["spectrum", "--degree", "0", "--input"]])
+def test_a_directory_as_input_or_output_is_refused(tmp_path, capsys, argv):
+    code, _, err = run(capsys, *argv, str(tmp_path))
+    assert_one_line_error(code, err)
+    assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--xi", "n^2", "--input", "k3.json"]])
+def test_divergence_needs_exactly_one_of_input_and_xi(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k3.json").write_text(json.dumps(k3_description()))
+    code, _, err = run(capsys, "divergence", "--k-range", "0..1", *flags)
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: divergence needs exactly one of --input and --xi"
+
+
+OUT_OF_RANGE = "must lie in (0, 1)"
+NO_SPLIT = "disagrees with rank count"
+
+
+@pytest.mark.parametrize("kind,thresh,message", [
+    ("lattice", "nan", OUT_OF_RANGE), ("lattice", "inf", OUT_OF_RANGE),
+    ("lattice", "1", OUT_OF_RANGE), ("lattice", "2", OUT_OF_RANGE),
+    ("lattice", "-1e-8", OUT_OF_RANGE), ("offspring-tree", "0", OUT_OF_RANGE),
+    ("lattice", "0.5", NO_SPLIT), ("lattice", "0.99", NO_SPLIT), ("lattice", "1e-300", NO_SPLIT),
+])
+def test_kernel_thresh_that_cannot_split_the_ranks_is_refused(tmp_path, capsys, kind, thresh, message):
+    """beta_1 = 0 on the radius-2 lattice and beta_0 = 1 on the binary tree;
+    a threshold outside (0, 1), or one inside that miscounts the kernel, ends
+    in one error line."""
+    cx_path = tmp_path / "cx.json"
+    run(capsys, "generate", "--kind", kind, "--radius", "2", "--off", "2", "--depth", "5",
+        "--output", str(cx_path))
+    degree = "1" if kind == "lattice" else "0"
+    code, out, _ = run(capsys, "hodge", "--input", str(cx_path), "--degree", degree)
+    assert code == 0 and json.loads(out)["result"]["betti"] == (0 if kind == "lattice" else 1)
+    code, _, err = run(capsys, "hodge", "--input", str(cx_path), "--degree", degree,
+                       f"--kernel-thresh={thresh}")
+    assert_one_line_error(code, err)
+    assert message in err

@@ -7,7 +7,6 @@ from hodgelab.divergence import (
     LayerDecomposition,
     divergence_cutoffs,
     divergence_partial_sums,
-    growth_function,
     growth_table,
     layers_by_depth,
     layers_by_distance,
@@ -32,15 +31,11 @@ def test_validate_binary_tree_by_depth():
 def test_validate_lattice_by_l1_distance():
     # plain grid: every edge changes the l1 norm by exactly one
     grid = gen_lattice(2, 2, 10, "nearest")
-    layers = LayerDecomposition(
-        {v: abs(v[0]) + abs(v[1]) for v in grid.topology.vertices}, origin="l1"
-    )
+    layers = LayerDecomposition({v: abs(v[0]) + abs(v[1]) for v in grid.topology.vertices})
     assert validate_decomposition(grid, layers).ok
     # with diagonal adjacency the (1,1) steps jump two l1 layers
     cx = gen_lattice(2, 2, 5)
-    layers = LayerDecomposition(
-        {v: abs(v[0]) + abs(v[1]) for v in cx.topology.vertices}, origin="l1"
-    )
+    layers = LayerDecomposition({v: abs(v[0]) + abs(v[1]) for v in cx.topology.vertices})
     rep = validate_decomposition(cx, layers)
     assert not rep.ok
     assert rep.jump_histogram.get(2, 0) > 0
@@ -51,7 +46,7 @@ def test_validate_lattice_by_l1_distance():
 
 def test_validate_parity_classes():
     cx = gen_lattice(2, 2, 3)
-    layers = LayerDecomposition({v: v[0] % 2 for v in cx.topology.vertices}, origin="parity")
+    layers = LayerDecomposition({v: v[0] % 2 for v in cx.topology.vertices})
     rep = validate_decomposition(cx, layers)
     # exhaustive scan decides; vertical edges stay inside one class (jump 0),
     # horizontal and diagonal edges jump by one, so the scan accepts
@@ -68,7 +63,7 @@ def test_offspring_tree_depth_layers_violate_unit_jump():
 
 def test_growth_path_graph():
     cx = gen_lattice(1, 1, 8, "nearest")
-    layers = LayerDecomposition({v: v[0] + 8 for v in cx.topology.vertices}, origin="position")
+    layers = LayerDecomposition({v: v[0] + 8 for v in cx.topology.vertices})
     tab = growth_table(cx, layers, range(0, 15))
     for k in range(0, 15):
         assert tab[k][0] == 1.0
@@ -100,7 +95,7 @@ def test_growth_offspring_tree_quadratic():
 def test_growth_empty_layer_reported():
     cx = gen_truncated_tree(1, 3)
     layers = layers_by_depth(cx)
-    xi, breakdown = growth_function(cx, layers, 17)
+    xi, breakdown = growth_table(cx, layers, [17])[17]
     assert xi is None
 
 

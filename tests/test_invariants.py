@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hodgelab import Cochain, build_clique_complex, complex_from_json, complex_to_json
-from hodgelab.chi import check_global_chi, make_ball_exhaustion, make_cutoff_system
+from hodgelab.chi import make_ball_exhaustion
 from hodgelab.generators import (
     offspring_tree_family,
     gen_alternating_triangulation,
@@ -101,13 +101,6 @@ def test_exhaustion_reports_excluded_components():
     exh = make_ball_exhaustion(cx, {"a"}, 3)
     assert set(exh.excluded) == {"c", "d"}
     assert exh.set_at(3) == {"a", "b"}
-
-
-def test_cutoff_mode_enforced(K3):
-    exh = make_ball_exhaustion(K3, {"a"}, 2)
-    cutoffs = make_cutoff_system(K3, exh, [1, 2], ("linear", 1), mode="level", level=1)
-    with pytest.raises(ValueError):
-        check_global_chi(K3, cutoffs)
 
 
 def test_json_radial_weight_rule():

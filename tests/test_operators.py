@@ -210,10 +210,10 @@ def test_representative_norm_equals_oriented_average(K3):
 
 
 def test_assemble_block_kinds(K3):
-    assert assemble_block(K3, "coboundary", 0).matrix.shape == (3, 3)
-    assert assemble_block(K3, "codifferential", 2).matrix.shape == (3, 1)
-    assert assemble_block(K3, "laplacian_block", 1).matrix.shape == (3, 3)
-    assert assemble_block(K3, "gauss_bonnet").matrix.shape == (7, 7)
+    assert assemble_block(K3, "coboundary", 0).shape == (3, 3)
+    assert assemble_block(K3, "codifferential", 2).shape == (3, 1)
+    assert assemble_block(K3, "laplacian_block", 1).shape == (3, 3)
+    assert assemble_block(K3, "gauss_bonnet").shape == (7, 7)
     with pytest.raises(ValueError):
         assemble_block(K3, "nonsense", 0)
 
