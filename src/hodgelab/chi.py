@@ -12,10 +12,15 @@ whose sup over (i-1)-simplices must stay bounded along the exhaustion for the
 cut-off system to witness completeness at degree i.  A finite sweep can only
 refute or support a for-all-k statement, so verdicts are three-valued and
 explicitly range-limited.
+
+A vertex function, such as a cut-off, is a float array over the complex's
+vertex table ``cx.topology.vertices``.  The energy functions also take a
+``{label: value}`` mapping, read once on entry with 0.0 where it has no entry.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -62,14 +67,30 @@ VERDICT_RTOL = 1e-9
 GROWTH_STREAK = 5
 
 
-@dataclass
+@dataclass(eq=False)
 class Exhaustion:
-    """Increasing vertex balls O_k = {distance <= k} from a root set."""
+    """Increasing vertex balls O_k = {distance <= k} from a root set.
+
+    ``distance`` holds the graph distance to the roots of every vertex of
+    ``vertices``, the complex's degree-0 table, -1 where a vertex is
+    unreachable; ``dist``, ``set_at`` and ``excluded`` are label views of it.
+    ``==`` is identity.
+    """
 
     roots: tuple
     k_max: int
-    dist: dict
-    excluded: tuple = ()
+    vertices: list = field(repr=False)
+    distance: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def dist(self) -> dict:
+        """``{label: distance}`` over the reachable vertices, in table order."""
+        return {v: d for v, d in zip(self.vertices, self.distance.tolist()) if d >= 0}
+
+    @property
+    def excluded(self) -> tuple:
+        """The unreachable vertices, in table order."""
+        return tuple(v for v, d in zip(self.vertices, self.distance.tolist()) if d < 0)
 
     def set_at(self, k: int) -> set:
         return {v for v, d in self.dist.items() if d <= k}
@@ -83,39 +104,38 @@ def make_ball_exhaustion(cx: WeightedComplex, roots: Iterable, k_max: int) -> Ex
     if not roots:
         raise ValueError("roots must be nonempty")
     # looked up first: vertices are mutually comparable, so the sort cannot raise
-    dist = cx.topology.distances_from(roots)
-    roots = tuple(sorted(set(roots)))
-    excluded = tuple(v for v in cx.topology.vertices if v not in dist)
-    return Exhaustion(roots=roots, k_max=int(k_max), dist=dist, excluded=excluded)
+    distance = cx.topology.distances_from(roots)
+    distance.setflags(write=False)
+    return Exhaustion(roots=tuple(sorted(set(roots))), k_max=int(k_max),
+                      vertices=cx.topology.vertices, distance=distance)
 
 
-def make_plateau_cutoff(exh: Exhaustion, k: int, ramp) -> dict:
-    """Vertex cut-off equal to 1 on O_k and decaying to 0 across the ramp.
-
-    ``ramp`` is ("linear", width) for chi(x) = max(0, 1 - d(x,O_k)/width), or
-    ("divergence", xi_fn, horizon) for the layer-budgeted profile with
-    per-layer decrements 1/sqrt(xi(j)) normalized by the tail sum up to the
-    horizon.
-    """
+def _cutoff_values(exh: Exhaustion, k: int, ramp) -> np.ndarray:
+    """The plateau cut-off of index ``k`` (see ``make_cutoff_system``) as a
+    read-only float array over the vertex table of ``exh``."""
+    d = exh.distance
     kind = ramp[0]
-    chi: dict = {}
     if kind == "linear":
         width = ramp[1]
         if width <= 0:
             raise ValueError("ramp width must be positive")
-        for v, d in exh.dist.items():
-            val = 1.0 - max(0, d - k) / width
-            if val > 0:
-                chi[v] = min(1.0, val)
+        # elementwise, the IEEE operations of the scalar 1.0 - max(0, d - k) / width
+        val = 1.0 - np.maximum(0, d - k) / width
+        chi = np.where((d >= 0) & (val > 0), np.minimum(1.0, val), 0.0)
     elif kind == "divergence":
         _, xi_fn, horizon = ramp
-        level_value, _ = budget_profile(xi_fn, k, horizon, max(exh.dist.values(), default=0))
-        for v, d in exh.dist.items():
-            if level_value[d] > 0:
-                chi[v] = level_value[d]
+        profile, _ = budget_profile(xi_fn, k, horizon, int(d.max(initial=0)))
+        chi = np.where(d >= 0, np.array(list(profile.values()))[d], 0.0)
     else:
         raise ValueError(f"unknown ramp kind {kind!r}")
+    chi.setflags(write=False)
     return chi
+
+
+def make_plateau_cutoff(exh: Exhaustion, k: int, ramp) -> dict:
+    """The plateau cut-off of index ``k`` (see ``make_cutoff_system``) as
+    ``{label: value}`` over the vertices where it is positive."""
+    return {v: x for v, x in zip(exh.vertices, _cutoff_values(exh, k, ramp).tolist()) if x > 0}
 
 
 def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[dict, float]:
@@ -129,7 +149,11 @@ def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[dict, float]:
         raise ValueError("horizon must exceed the plateau index")
     steps = []
     for j in range(N, horizon + 1):
-        x = float(xi_fn(j))
+        x = xi_fn(j)
+        if x is None:
+            raise ValueError(f"the growth xi({j}) of layer {j} is undefined; "
+                             f"the cut-off budget needs every layer from {N} on")
+        x = float(x)
         if x <= 0:
             raise ValueError(f"xi({j}) must be positive for the cut-off budget")
         steps.append(1.0 / math.sqrt(x))
@@ -144,31 +168,43 @@ def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[dict, float]:
     return profile, tail
 
 
-@dataclass
+@dataclass(eq=False)
 class CutoffSystem:
-    """One plateau cut-off per index k."""
+    """One plateau cut-off per index k, each a read-only float array over the
+    vertex table ``vertices`` of the exhaustion it was built from; ``==`` is
+    identity."""
 
     ks: tuple
     chis: dict
     ramp: tuple
+    vertices: list = field(repr=False)
 
-    def chi(self, k: int) -> dict:
+    def chi(self, k: int) -> np.ndarray:
         return self.chis[k]
 
 
 def make_cutoff_system(cx: WeightedComplex, exh: Exhaustion, ks: Sequence[int],
                        ramp=("linear", 1)) -> CutoffSystem:
+    """Plateau cut-offs for every k of ``ks``: equal to 1 on O_k and decaying
+    to 0 across the ramp, 0.0 on unreachable vertices.
+
+    ``ramp`` is ("linear", width) for chi(x) = max(0, 1 - d(x,O_k)/width), or
+    ("divergence", xi_fn, horizon) for the layer-budgeted profile with
+    per-layer decrements 1/sqrt(xi(j)) normalized by the tail sum up to the
+    horizon.
+    """
     ks = tuple(ks)
-    chis = {k: make_plateau_cutoff(exh, k, ramp) for k in ks}
+    chis = {k: _cutoff_values(exh, k, ramp) for k in ks}
     # a callable's repr holds a memory address, so it is recorded as a fixed token
     ramp_desc = (ramp[0],) + tuple(
         "<callable>" if callable(x) else (x if isinstance(x, (int, float)) else repr(x))
         for x in ramp[1:])
-    return CutoffSystem(ks=ks, chis=chis, ramp=ramp_desc)
+    return CutoffSystem(ks=ks, chis=chis, ramp=ramp_desc, vertices=exh.vertices)
 
 
-def energy_functional(cx: WeightedComplex, chi: Mapping, degree: int):
-    """Sup over (degree-1)-simplices of the local cut-off energy.
+def energy_functional(cx: WeightedComplex, chi: Mapping | np.ndarray, degree: int):
+    """Sup over (degree-1)-simplices of the local energy of the vertex
+    function ``chi``.
 
     Returns (sup, witness) with the lexicographically smallest maximizer as
     witness; both are (0.0, None) when no simplex carries energy.
@@ -178,19 +214,30 @@ def energy_functional(cx: WeightedComplex, chi: Mapping, degree: int):
     if degree > cx.max_degree:
         raise ValueError(f"degree {degree} above max degree {cx.max_degree}")
     base = degree - 1
-    c = _vertex_values(cx, chi)
+    c = _vertex_array(cx, chi)
     val = _local_energy(cx, c, _simplex_means(cx, c, base), base) / cx.weights[base]
     if val.size and val.max() > 0:
-        # the tables are sorted, so the first maximizer is the lexicographically smallest
+        # the tables are sorted, so the first maximizer is the lexicographically smallest;
+        # its labels are read off its row, since cx.simplices would build every degree's label tuples
         j = int(np.argmax(val))
-        return float(val[j]), cx.simplices[base][j]
+        witness = tuple(map(cx.topology.vertices.__getitem__, cx.topology.vertex_index(base)[j].tolist()))
+        return float(val[j]), witness
     return 0.0, None
 
 
-def _vertex_values(cx: WeightedComplex, chi: Mapping) -> np.ndarray:
-    """chi on the degree-0 table, 0 where chi has no entry."""
-    get = chi.get
-    return np.array([get(v, 0.0) for v in cx.topology.vertices], dtype=float)
+def _vertex_array(cx: WeightedComplex, chi: Mapping | np.ndarray) -> np.ndarray:
+    """The vertex function ``chi`` as a float array over
+    ``cx.topology.vertices``.  An array is taken as it is and must have one
+    entry per vertex; a label mapping is read once, 0.0 where it has no
+    entry."""
+    vertices = cx.topology.vertices
+    if isinstance(chi, Mapping):
+        get = chi.get
+        return np.array([get(v, 0.0) for v in vertices], dtype=float)
+    c = np.asarray(chi, dtype=float)
+    if c.shape != (len(vertices),):
+        raise ValueError(f"vertex function has length {c.size}, the complex has {len(vertices)} vertices")
+    return c
 
 
 def _simplex_means(cx: WeightedComplex, c: np.ndarray, degree: int) -> np.ndarray:
@@ -271,6 +318,9 @@ class EnergyProfile:
 
 def _profile(cx: WeightedComplex, cutoffs: CutoffSystem, degrees: Sequence[int],
              mode: str) -> EnergyProfile:
+    # an array read on another vertex table of the same length would misalign silently
+    if cutoffs.vertices is not cx.topology.vertices and cutoffs.vertices != cx.topology.vertices:
+        raise ValueError("the cut-off system was built on another vertex table than the complex's")
     degrees = tuple(degrees)
     ks = cutoffs.ks
 
@@ -353,9 +403,9 @@ def coupling_block(cx: WeightedComplex, region: Iterable,
     return CouplingReport(rank=rank, sigma_max=smax, nnz=C.nnz, cross_simplices=cross)
 
 
-def averaged_extension(cx: WeightedComplex, chi: Mapping, degree: int) -> np.ndarray:
+def averaged_extension(cx: WeightedComplex, chi: Mapping | np.ndarray, degree: int) -> np.ndarray:
     """Vertex function averaged over the vertices of each degree-d simplex."""
-    return _simplex_means(cx, _vertex_values(cx, chi), degree)
+    return _simplex_means(cx, _vertex_array(cx, chi), degree)
 
 
 @dataclass
@@ -368,7 +418,7 @@ class LeibnizReport:
     smallest_C: float | None
 
 
-def leibniz_remainder(cx: WeightedComplex, chi: Mapping, f: Cochain) -> LeibnizReport:
+def leibniz_remainder(cx: WeightedComplex, chi: Mapping | np.ndarray, f: Cochain) -> LeibnizReport:
     """Commutator remainders of cut-off multiplication against d and δ.
 
     R_d = d(chi*f) - chi^{(i+1)} * (df) and R_delta = δ(chi*f) -
@@ -377,7 +427,7 @@ def leibniz_remainder(cx: WeightedComplex, chi: Mapping, f: Cochain) -> LeibnizR
     ||R_d||^2 <= C * sum_s m_i(s) |f(s)|^2 * E(chi, s) on this instance.
     """
     i = f.degree
-    c = _vertex_values(cx, chi)
+    c = _vertex_array(cx, chi)
     avg_i = _simplex_means(cx, c, i)
     scaled = Cochain(i, avg_i * f.values)
 

@@ -166,10 +166,10 @@ class Topology:
                                for V in self._vertex_index]
         return self._simplices
 
-    def distances_from(self, roots: Iterable[Vertex]) -> dict:
-        """``{label: graph distance to roots}`` over the degree-1 simplices, in
-        table order; unreachable vertices are absent.  A root that is not a
-        vertex raises ``ValueError``."""
+    def distances_from(self, roots: Iterable[Vertex]) -> np.ndarray:
+        """int64 graph distance to ``roots`` over the degree-1 simplices, one
+        entry per vertex of ``vertices``, -1 where a vertex is unreachable.  A
+        root that is not a vertex raises ``ValueError``."""
         sources = []
         for r in roots:
             try:
@@ -188,8 +188,7 @@ class Topology:
             dist[frontier] = d
             nbrs = indices[_spans(indptr[frontier], indptr[frontier + 1] - indptr[frontier])]
             frontier, d = np.unique(nbrs[dist[nbrs] < 0]), d + 1
-        reached = np.flatnonzero(dist >= 0)
-        return dict(zip(map(self.vertices.__getitem__, reached.tolist()), dist[reached].tolist()))
+        return dist
 
     def extension_coo(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(j, x, t)`` int64 arrays, one entry per coface: vertex position
@@ -440,7 +439,7 @@ def _shaped(value, kind, what: str):
     """``value``, refused with a ValueError naming ``what`` unless it is a
     ``kind`` (a bool is no integer)."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        name = {dict: "an object", list: "a list", int: "an integer"}[kind]
+        name = {dict: "an object", list: "a list", int: "an integer", (int, float): "a number"}[kind]
         raise ValueError(f"description {what} must be {name}, not {value!r:.40}")
     return value
 
@@ -484,6 +483,7 @@ def complex_from_json(doc: dict) -> WeightedComplex:
             if key not in rule:
                 raise ValueError(f"radial weight_rule needs {key!r}")
         _shaped(rule["base"], list, "weight_rule 'base'")
+        _shaped(rule["alpha"], (int, float), "weight_rule 'alpha'")
         if doc.get("weights"):
             raise ValueError("a description gives either weights lists or a weight_rule, not both")
     explicit = {}

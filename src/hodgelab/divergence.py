@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chi import budget_profile, leibniz_remainder
+from .chi import _vertex_array, budget_profile, leibniz_remainder
 from .complexes import WeightedComplex
 from .operators import norm
 
@@ -63,10 +63,10 @@ def layers_by_depth(cx: WeightedComplex) -> LayerDecomposition:
 
 def layers_by_distance(cx: WeightedComplex, roots: Iterable) -> LayerDecomposition:
     dist = cx.topology.distances_from(roots)
-    missing = len(cx.topology.vertices) - len(dist)
+    missing = int(np.count_nonzero(dist < 0))
     if missing:
         raise ValueError(f"{missing} vertices unreachable from roots")
-    return LayerDecomposition(dist)
+    return LayerDecomposition(dict(zip(cx.topology.vertices, dist.tolist())))
 
 
 @dataclass
@@ -298,7 +298,7 @@ class Step3Report:
         }
 
 
-def step3_estimate(cx: WeightedComplex, layers: LayerDecomposition, chi: Mapping,
+def step3_estimate(cx: WeightedComplex, layers: LayerDecomposition, chi: Mapping | np.ndarray,
                    u: tuple, tail_sum: float, N: int) -> Step3Report:
     """Remainder norms ||R_d(chi, u_i)|| per degree against the budget bound.
 
@@ -306,9 +306,10 @@ def step3_estimate(cx: WeightedComplex, layers: LayerDecomposition, chi: Mapping
     ||R_d||^2 <= C * tail_sum^{-1} * ||u_i||^2 is reported; remainders decay
     as N grows whenever the budget sums grow.
     """
+    c = _vertex_array(cx, chi)
     degrees, rnorms, unorms, consts = [], [], [], []
     for i, f in enumerate(u):
-        rep = leibniz_remainder(cx, chi, f)
+        rep = leibniz_remainder(cx, c, f)
         un = norm(cx, i, f.values)
         degrees.append(i)
         rnorms.append(rep.norm_d)

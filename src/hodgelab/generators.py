@@ -299,11 +299,10 @@ def radial_weighting(cx: WeightedComplex, base: Iterable, alpha: float) -> Weigh
     base = list(base)
     if not base:
         raise ValueError("base set must be nonempty")
-    dist = cx.topology.distances_from(base)
-    missing = len(cx.topology.vertices) - len(dist)
+    vertex_dist = cx.topology.distances_from(base)
+    missing = int(np.count_nonzero(vertex_dist < 0))
     if missing:
         raise ValueError(f"{missing} vertices unreachable from the base set")
-    vertex_dist = np.array(list(dist.values()), dtype=np.int64)  # every vertex, in table order
     # Python's ** on each distance, so the weights equal the per-simplex formula bit for bit
     table = np.array([(1.0 + d) ** (-alpha) for d in range(int(vertex_dist.max(initial=0)) + 1)])
     weights = [table[vertex_dist[cx.topology.vertex_index(i)].max(axis=1)]

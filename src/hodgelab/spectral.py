@@ -232,8 +232,7 @@ def boundary_weight_down(cx: WeightedComplex, factor: float = 1e-3) -> WeightedC
     if not vertices:
         return cx
     dist = cx.topology.distances_from(vertices[:1])
-    top = max(dist.values())
-    on_boundary = np.array([dist.get(v) == top for v in vertices])
+    on_boundary = dist == dist.max()
     weights = [
         cx.weights[i] * np.where(on_boundary[cx.topology.vertex_index(i)].any(axis=1), factor, 1.0)
         for i in range(cx.max_degree + 1)

@@ -11,6 +11,7 @@ from hodgelab.chi import (
     BOUNDED_ON_RANGE,
     GROWING,
     INCONCLUSIVE,
+    budget_profile,
     check_global_chi,
     check_level_chi,
     classify_entries,
@@ -29,7 +30,7 @@ from hodgelab.generators import (
 )
 from hodgelab.operators import coboundary_apply, random_cochain
 
-from oracles import cofaces, cutoff_energy_sup
+from oracles import bfs_distances, cofaces, cutoff_energy_sup
 
 
 def line(radius=10):
@@ -107,13 +108,18 @@ def weighted_complexes_with_cutoffs(draw):
     """A random clique complex on <= 9 vertices, max degree 2 or 3, weights
     in [0.1, 10] on every simplex and a vertex function in [0, 1] that may
     leave vertices out.  Half the cases draw round values only, so that equal
-    energies occur and the witness rule is tested on ties."""
+    energies occur and the witness rule is tested on ties.  Also an
+    exhaustion from random roots, a plateau index k and a ramp: linear of
+    integer or float width, or divergence-budgeted.  In half the cases no
+    edge crosses a cut below which every root lies, so that the exhaustion
+    leaves vertices out."""
     n_vertices = draw(st.integers(2, 9))
     pairs = list(itertools.combinations(range(n_vertices), 2))
     # two edges in three on average, so that tetrahedra are common
     keep = draw(st.lists(st.sampled_from([True, True, False]), min_size=len(pairs),
                          max_size=len(pairs)))
-    edges = [p for p, k in zip(pairs, keep) if k]
+    cut = draw(st.integers(1, n_vertices - 1)) if draw(st.booleans()) else n_vertices
+    edges = [(u, v) for (u, v), k in zip(pairs, keep) if k and (v < cut or u >= cut)]
     graph = WeightedGraph({v: 1.0 for v in range(n_vertices)}, {e: 1.0 for e in edges})
     cx = build_clique_complex(graph, draw(st.integers(2, 3)))
     round_values = draw(st.booleans())
@@ -123,17 +129,66 @@ def weighted_complexes_with_cutoffs(draw):
     values = draw(st.lists(st.none() | value,
                            min_size=n_vertices, max_size=n_vertices))
     chi = {v: x for v, x in enumerate(values) if x is not None}
-    return cx, chi
+    exh = make_ball_exhaustion(cx, draw(st.sets(st.integers(0, cut - 1), min_size=1)), n_vertices)
+    k = draw(st.integers(0, 4))
+    ramp = draw(st.one_of(
+        st.integers(1, 4).map(lambda w: ("linear", w)),
+        st.floats(0.1, 5.0).map(lambda w: ("linear", w)),
+        st.builds(lambda xis, h: ("divergence", lambda j: xis[j % len(xis)], k + h),
+                  st.lists(st.floats(0.5, 100.0), min_size=1, max_size=5), st.integers(1, 10))))
+    return cx, chi, exh, k, ramp
 
 
 @given(weighted_complexes_with_cutoffs())
 def test_energy_functional_matches_definition_oracle(case):
-    cx, chi = case
+    cx, chi, *_ = case
     for degree in range(1, cx.max_degree + 1):
         sup, witness = energy_functional(cx, chi, degree)
         want, want_witness = cutoff_energy_sup(cx.simplices, cx.weights, chi, degree)
         assert abs(sup - want) <= 1e-12 * abs(want)
         assert witness == want_witness
+
+
+def _scalar_cutoff(d, k, ramp, top):
+    """The plateau cut-off at a vertex of distance ``d`` (None when
+    unreachable) from the roots, one vertex at a time."""
+    if d is None:
+        return 0.0
+    if ramp[0] == "linear":
+        val = 1.0 - max(0, d - k) / ramp[1]
+        return min(1.0, val) if val > 0 else 0.0
+    _, xi_fn, horizon = ramp
+    return budget_profile(xi_fn, k, horizon, top)[0][d]
+
+
+@given(weighted_complexes_with_cutoffs())
+def test_cutoff_arrays_equal_the_scalar_formula(case):
+    cx, chi, exh, k, ramp = case
+    dist = bfs_distances(cx.simplices, exh.roots)
+    want = [_scalar_cutoff(dist.get(v), k, ramp, max(dist.values())) for v in cx.topology.vertices]
+    got = make_cutoff_system(cx, exh, [k], ramp).chi(k)
+    assert got.tolist() == want
+    assert make_plateau_cutoff(exh, k, ramp) == {v: x for v, x in zip(cx.topology.vertices, want) if x > 0}
+    for mapping in (chi, make_plateau_cutoff(exh, k, ramp)):
+        values = np.array([mapping.get(v, 0.0) for v in cx.topology.vertices])
+        for degree in range(1, cx.max_degree + 1):
+            assert energy_functional(cx, mapping, degree) == energy_functional(cx, values, degree)
+
+
+def test_vertex_function_of_the_wrong_length_is_refused(K4):
+    with pytest.raises(ValueError, match="vertex function has length 3, the complex has 4 vertices"):
+        energy_functional(K4, np.ones(3), 1)
+
+
+def test_cutoff_system_of_another_vertex_table_is_refused():
+    from conftest import unit_graph
+
+    path = lambda labels: build_clique_complex(unit_graph(labels, list(zip(labels, labels[1:]))), 1)
+    cx, other = path("abcd"), path("wxyz")
+    cutoffs = make_cutoff_system(cx, make_ball_exhaustion(cx, {"a"}, 3), [0, 1])
+    assert check_global_chi(path("abcd"), cutoffs).table == check_global_chi(cx, cutoffs).table
+    with pytest.raises(ValueError, match="another vertex table"):
+        check_global_chi(other, cutoffs)
 
 
 def test_energy_functional_degree_zero_errors(K3):

@@ -262,6 +262,17 @@ def test_divergence_k_range_outside_the_layers(tmp_path, capsys, k_range):
     assert "layers 0..4" in err
 
 
+@pytest.mark.parametrize("k_range,cutoff_n,layer", [("2..4", "1", 1), ("1,2,4", "2", 3)])
+def test_divergence_cutoff_over_unmeasured_growth_is_refused(tmp_path, capsys, k_range, cutoff_n, layer):
+    cx_path = tmp_path / "tree.json"
+    run(capsys, "generate", "--kind", "offspring-tree", "--off", "n^2", "--depth", "5",
+        "--output", str(cx_path))
+    code, _, err = run(capsys, "divergence", "--input", str(cx_path), "--layers", "depth",
+                       "--k-range", k_range, "--cutoff-n", cutoff_n)
+    assert_one_line_error(code, err)
+    assert f"error: the growth xi({layer}) of layer {layer} is undefined" in err
+
+
 def test_divergence_unbounded_formula_is_refused(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "divergence", "--xi", "9^9^9", "--k-range", "1..2")
@@ -432,6 +443,8 @@ def test_weights_keys_naming_one_degree_twice_are_refused(tmp_path, capsys):
     (dict(_without_weights(k3_description()), weight_rule=dict(RADIAL, base=5)),
      "description weight_rule 'base' must be a list, not 5"),
     (dict(k3_description(), meta=[1]), "description 'meta' must be an object, not [1]"),
+    *[(dict(_without_weights(k3_description()), weight_rule=dict(RADIAL, alpha=alpha)),
+       f"description weight_rule 'alpha' must be a number, not {alpha!r}") for alpha in ([1], {}, "x")],
 ])
 def test_description_of_the_wrong_shape_is_refused(tmp_path, capsys, doc, message):
     cx_path = tmp_path / "k3.json"
