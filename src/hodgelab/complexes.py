@@ -13,10 +13,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
     "WeightedGraph",
@@ -110,8 +112,8 @@ class Topology:
     rows in lexicographic order.  These are the only stored form of the
     simplices.  Column l of ``face_arrays[i]`` is the index of the face
     omitting vertex l (``face_arrays[0]`` has no columns).  ``extension_coo``,
-    ``incidence`` and the label tuples ``simplices`` are derived on first use
-    and cached.  Every reweighting of a complex shares its topology.
+    ``incidence``, ``components`` and the label tuples ``simplices`` are
+    derived on first use and cached.  Every reweighting shares the topology.
     """
 
     def __init__(self, vertices: list, tables: Sequence[np.ndarray]):
@@ -138,7 +140,6 @@ class Topology:
         self._simplices: list[list[tuple]] | None = None
         self._extension_coo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._incidence: dict[int, sp.csr_matrix] = {}
-        self._adjacency: sp.csr_matrix | None = None
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
         """Table index of each vertex-position row of ``rows`` (shape
@@ -166,6 +167,20 @@ class Topology:
                                for V in self._vertex_index]
         return self._simplices
 
+    @cached_property
+    def _adjacency(self) -> sp.csr_matrix:
+        """Symmetric 0/1 vertex adjacency matrix of the degree-1 simplices."""
+        u, v = self._vertex_index[1].T
+        return sp.csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
+                             shape=(len(self.vertices),) * 2)
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Connected-component label of each vertex, 0..beta_0 - 1, read-only."""
+        labels = connected_components(self._adjacency, directed=False)[1]
+        labels.setflags(write=False)
+        return labels
+
     def distances_from(self, roots: Iterable[Vertex]) -> np.ndarray:
         """int64 graph distance to ``roots`` over the degree-1 simplices, one
         entry per vertex of ``vertices``, -1 where a vertex is unreachable.  A
@@ -176,19 +191,9 @@ class Topology:
                 sources.append(self._position[r])
             except (KeyError, TypeError):
                 raise ValueError(f"root {r!r} not in complex") from None
-        if self._adjacency is None:
-            u, v = self._vertex_index[1].T
-            self._adjacency = sp.csr_matrix((np.ones(2 * len(u)), (np.r_[u, v], np.r_[v, u])),
-                                            shape=(len(self.vertices),) * 2)
-        indptr, indices = self._adjacency.indptr, self._adjacency.indices
-        # breadth-first, one layer of the whole frontier at a time
-        dist = np.full(len(self.vertices), -1, dtype=np.int64)
-        frontier, d = np.unique(np.array(sources, dtype=np.int64)), 0
-        while frontier.size:
-            dist[frontier] = d
-            nbrs = indices[_spans(indptr[frontier], indptr[frontier + 1] - indptr[frontier])]
-            frontier, d = np.unique(nbrs[dist[nbrs] < 0]), d + 1
-        return dist
+        dist = dijkstra(self._adjacency, directed=False, indices=sources,
+                        unweighted=True, min_only=True)
+        return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
     def extension_coo(self, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(j, x, t)`` int64 arrays, one entry per coface: vertex position

@@ -12,10 +12,11 @@ show.  Nothing here decides self-adjointness; the outputs are diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .complexes import WeightedComplex, reweighted
@@ -40,6 +41,7 @@ __all__ = [
 # or 341 rows (how_many=4); in between the two ran close
 DENSE_CUTOVER = 200
 ITERATION_BUDGET = 10_000
+SHIFT = -1e-3  # shift-invert below the spectrum, so that A - SHIFT is definite
 KERNEL_THRESH = 1e-8
 
 
@@ -54,15 +56,7 @@ class SpectrumReport:
     message: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "multiplicities": [int(m) for m in self.multiplicities],
-            "method": self.method,
-            "residuals": [float(r) for r in self.residuals],
-            "converged": self.converged,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def _check_degree(cx: WeightedComplex, degree: int) -> None:
@@ -83,41 +77,68 @@ def _group_multiplicities(vals, tol=1e-8):
 
 def spectrum(cx: WeightedComplex, degree: int, how_many: int = 6,
              method: str = "auto", seed: int = 0) -> SpectrumReport:
-    """Smallest eigenvalues of the degree block, dense below the cutover."""
+    """Smallest eigenvalues of the degree block, dense below the cutover.  At
+    degree 0 the first min(beta_0, how_many) are 0.0, counted by components (ker
+    L_0 is sqrt(m0) on each); with nothing left to solve the method is "kernel"."""
+    return _spectrum(cx, degree, how_many, method, seed, vectors=True)
+
+
+def _check_how_many(how_many: int) -> None:
+    if how_many < 1:
+        raise ValueError(f"how_many = {how_many} must be at least 1")
+
+
+def _spectrum(cx, degree, how_many, method, seed, vectors) -> SpectrumReport:
+    """The solve of spectrum, kernel_probe and esa_sweep; eigenvectors only if ``vectors``."""
     _check_degree(cx, degree)
-    A = symmetrized_laplacian(cx, degree)
-    dim = A.shape[0]
+    _check_how_many(how_many)
+    if method not in ("auto", "dense", "iterative"):
+        raise ValueError(f"unknown method {method!r}")
+    dim = cx.size(degree)
     if dim == 0:
         return SpectrumReport(degree, [], [], "empty", [])
     how_many = min(how_many, dim)
+    zeros = 0 if degree else min(int(cx.topology.components.max()) + 1, how_many)
     if method == "auto":
         method = "dense" if dim <= DENSE_CUTOVER else "iterative"
     if method == "iterative" and dim <= how_many + 1:
         method = "dense"  # ARPACK needs k < dim
+    A = symmetrized_laplacian(cx, degree) if vectors or zeros < how_many else None
     converged, message = True, ""
-    if method == "dense":
-        vals, vecs = scipy.linalg.eigh(A.toarray(), subset_by_index=[0, how_many - 1])
-    elif method == "iterative":
-        k = min(how_many, dim - 1)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        try:
-            vals, vecs = spla.eigsh(A.tocsc(), k=k, sigma=-1e-3, which="LM",
-                                    v0=v0, maxiter=ITERATION_BUDGET)
-        except spla.ArpackNoConvergence as err:
-            vals, vecs = err.eigenvalues, err.eigenvectors
-            converged = False
-            message = f"no convergence within {ITERATION_BUDGET} iterations"
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    if zeros == how_many:
+        method, out = "kernel", (np.zeros(0), np.zeros((dim, 0)))
+    elif method == "dense":
+        out = scipy.linalg.eigh(A.toarray(), eigvals_only=not vectors,
+                                subset_by_index=[zeros, how_many - 1])
     else:
-        raise ValueError(f"unknown method {method!r}")
-    residuals = [
-        float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
-        for j in range(vecs.shape[1])
-    ]
+        v0, opinv = np.random.default_rng(seed).standard_normal(dim), None
+        if zeros:  # ker L_0 is projected out before and after each LU solve
+            U, lu = _kernel_basis(cx), spla.splu((A - SHIFT * sp.identity(dim)).tocsc())
+            project = lambda x: x - U @ (U.T @ x)
+            v0 = project(v0)
+            opinv = spla.LinearOperator(A.shape, lambda x: project(lu.solve(project(x))), dtype=float)
+        try:
+            out = spla.eigsh(A.tocsc(), k=how_many - zeros, sigma=SHIFT, which="LM", v0=v0,
+                             OPinv=opinv, maxiter=ITERATION_BUDGET, return_eigenvectors=vectors)
+        except spla.ArpackNoConvergence as err:
+            out = (err.eigenvalues, err.eigenvectors) if vectors else err.eigenvalues
+            converged, message = False, f"no convergence within {ITERATION_BUDGET} iterations"
+    vals, vecs = out if isinstance(out, tuple) else (out, None)
+    order = np.argsort(vals)
+    vals, residuals = np.r_[np.zeros(zeros), vals[order]], []
+    if vectors:
+        kernel = _kernel_basis(cx)[:, :zeros].toarray() if zeros else np.zeros((dim, 0))
+        vecs = np.column_stack([kernel, vecs[:, order]])
+        residuals = [float(np.linalg.norm(A @ v - lam * v)) for lam, v in zip(vals, vecs.T)]
     eigenvalues, mult = _group_multiplicities(vals)
     return SpectrumReport(degree, eigenvalues, mult, method, residuals, converged, message)
+
+
+def _kernel_basis(cx: WeightedComplex) -> sp.csr_matrix:
+    """Orthonormal basis of ker L_0, sqrt(m0) on each connected component."""
+    labels, s = cx.topology.components, np.sqrt(cx.weights[0])
+    norms = np.sqrt(np.bincount(labels, weights=cx.weights[0]))
+    return sp.csr_matrix((s / norms[labels], (np.arange(len(s)), labels)))
 
 
 @dataclass
@@ -206,11 +227,11 @@ def kernel_probe(cx: WeightedComplex, degree: int, shift: complex = 1j,
 
     With L PSD and shift = +-i this is sqrt(lambda_min^2 + 1) >= 1 at every
     finite truncation; deviations below 1 would signal a broken assembly, not
-    spectral behaviour at infinity.
-    """
+    spectral behaviour at infinity.  At degree 0 lambda_min is the counted
+    kernel, so the probe is exactly 1 and assembles nothing."""
     if shift not in (1j, -1j):
         raise ValueError("shift must be +i or -i")
-    return _shifted_sigma_min(spectrum(cx, degree, how_many=1, seed=seed))
+    return _shifted_sigma_min(_spectrum(cx, degree, 1, "auto", seed, vectors=False))
 
 
 def _shifted_sigma_min(rep: SpectrumReport) -> float:
@@ -257,15 +278,18 @@ def esa_sweep(off_spec, depths, tet_parity: int = 0, how_many: int = 4,
     message but still carry the partial-sum column (pure arithmetic).  The
     partial sums share the divergence_partial_sums code path.
     """
+    _check_how_many(how_many)
     off_fn = parse_offspring(off_spec)
     rows = []
-    for depth in depths:
+    for depth in map(int, depths):
+        if depth < 0:
+            raise ValueError(f"depth {depth} must be nonnegative")
         est = estimate_offspring_tree_size(off_spec, depth, tet_parity)
         psums = divergence_partial_sums(lambda k: max(1, off_fn(k)), range(1, depth + 1))
         row = {
-            "depth": int(depth),
+            "depth": depth,
             "estimated_simplices": int(est),
-            "partial_sum": psums.partial_sums[-1],
+            "partial_sum": psums.partial_sums[-1] if depth else 0.0,  # the empty sum
         }
         if est > guard:
             row["refused"] = True
@@ -274,7 +298,7 @@ def esa_sweep(off_spec, depths, tet_parity: int = 0, how_many: int = 4,
             continue
         cx = offspring_tree_family(off_spec, depth, tet_parity)
         down = boundary_weight_down(cx, boundary_factor)
-        reports = {d: spectrum(cx, d, how_many=how_many, seed=seed)
+        reports = {d: _spectrum(cx, d, how_many, "auto", seed, vectors=False)
                    for d in range(cx.max_degree + 1)}
         # L is real PSD, so sigma_min(L + i) = sigma_min(L - i) = sqrt(l_min^2 + 1)
         probes = {str(d): _sig12(_shifted_sigma_min(reports[d])) for d in reports}

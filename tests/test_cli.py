@@ -208,6 +208,29 @@ def test_sweep_csv_and_json(tmp_path, capsys):
     assert [r["depth"] for r in rep["result"]["rows"]] == [4, 5]
 
 
+def test_sweep_at_depth_zero_is_the_one_vertex_row(capsys):
+    code, out, _ = run(capsys, "sweep", "--off", "2", "--depths", "0")
+    assert code == 0
+    (row,) = json.loads(out)["result"]["rows"]
+    assert row["partial_sum"] == 0.0  # the empty sum
+    assert row["counts"] == [1, 0, 0, 0] and row["smallest_eigenvalues"]["0"] == [0.0]
+    assert row["sigma_min_boundary_down"]["0"] == 1.0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--depths", "-1"], "error: depth -1 must be nonnegative"),
+    (["sweep", "--depths", "0..2", "--how-many", "-2"], "error: how_many = -2 must be at least 1"),
+    (["spectrum", "--input", "cx.json", "--degree", "0", "--how-many", "0"],
+     "error: how_many = 0 must be at least 1"),
+])
+def test_negative_depths_and_counts_below_one_are_refused(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "generate", "--kind", "lattice", "--radius", "2", "--output", "cx.json")
+    code, _, err = run(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert err.strip() == message
+
+
 def assert_one_line_error(code, err):
     assert code == 1
     lines = err.splitlines()

@@ -226,15 +226,17 @@ def test_zero_edge_weight_means_no_edge():
 
 
 @st.composite
-def weighted_graph_complexes(draw):
+def weighted_graph_complexes(draw, sparse=False):
     """A clique complex of max degree 1 to 4 on a random graph with up to 9
     vertices, whose integer labels skip values so that labels and table
-    positions differ; weights in [0.1, 10] on every simplex.  Drawn as
+    positions differ; weights in [0.1, 10] on every simplex.  Each vertex pair
+    is an edge with odds 2/3, or 1/3 when ``sparse``: then about half the
+    draws have several components, and about half an isolated vertex.  Drawn as
     ``(labels, edges, complex)``."""
     labels = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=9)))
     pairs = list(itertools.combinations(labels, 2))
-    keep = draw(st.lists(st.sampled_from([True, True, False]), min_size=len(pairs),
-                         max_size=len(pairs)))
+    odds = [True, False, False] if sparse else [True, True, False]
+    keep = draw(st.lists(st.sampled_from(odds), min_size=len(pairs), max_size=len(pairs)))
     weight = st.floats(0.1, 10.0)
     m0 = {v: draw(weight) for v in labels}
     m1 = {p: draw(weight) for p, k in zip(pairs, keep) if k}

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
 from hodgelab import build_clique_complex, drop_simplices
+from hodgelab.complexes import reweighted
 from hodgelab.generators import offspring_tree_family, gen_lattice, gen_truncated_tree, radial_weighting
 from hodgelab.operators import _scaled_coboundary, coboundary_matrix
 from hodgelab.spectral import (
     DENSE_CUTOVER,
     KERNEL_THRESH,
+    _sig12,
     boundary_weight_down,
     esa_sweep,
     hodge_decompose,
@@ -18,6 +23,7 @@ from hodgelab.spectral import (
 
 from conftest import unit_graph
 from oracles import betti_by_rank, bfs_distances, boundary_matrix, graph_laplacian
+from test_complexes import weighted_graph_complexes
 
 
 def test_spectrum_k3(K3):
@@ -84,6 +90,56 @@ def test_auto_route_matches_dense_oracle(off, depth, degree):
     # eigenvalues closer than 1e-8 form one multiple eigenvalue
     breaks = np.flatnonzero(np.diff(ref) > 1e-8) + 1
     assert rep.multiplicities == np.diff(np.r_[0, breaks, len(ref)]).tolist()
+
+
+def _check_degree_zero(cx, how_many, method):
+    """The first min(beta_0, how_many) values are exact zeros, beta_0 from the
+    boundary ranks; the rest are the oracle's values to 1e-10 relative."""
+    beta0 = betti_by_rank(cx.simplices)[0]
+    ref = np.linalg.eigvalsh(_oracle_block(cx, 0))[:how_many]
+    rep = spectrum(cx, 0, how_many=how_many, method=method)
+    got = np.repeat(rep.eigenvalues, rep.multiplicities)
+    zeros = min(beta0, how_many)
+    assert len(got) == how_many and np.count_nonzero(got == 0.0) == zeros
+    assert got[:zeros].tolist() == [0.0] * zeros
+    assert np.all(np.abs(got[zeros:] - ref[zeros:]) <= 1e-10 * ref[zeros:])
+    assert rep.converged and max(rep.residuals) <= 1e-8
+    return rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graph_complexes(sparse=True))
+def test_degree_zero_kernel_is_counted_from_components(graph):
+    _, _, cx = graph
+    n0 = cx.size(0)
+    assert _check_degree_zero(cx, n0, "dense").method == ("kernel" if cx.size(1) == 0 else "dense")
+    if n0 >= 3:  # ARPACK needs how_many < n0 - 1
+        zeros = min(cx.topology.components.max() + 1, n0 - 2)
+        rep = _check_degree_zero(cx, n0 - 2, "iterative")
+        assert rep.method == ("kernel" if zeros == n0 - 2 else "iterative")
+    assert kernel_probe(cx, 0) == 1.0
+
+
+def test_two_components_above_the_cutover_deflate_their_kernel():
+    lattice = gen_lattice(2, 2, 10)
+    cut = drop_simplices(lattice, 1, lambda e: (e[0][0] < 0) == (e[1][0] < 0))
+    cut = reweighted(cut, [np.linspace(0.5, 2.0, len(w)) for w in cut.weights])
+    assert cut.size(0) > DENSE_CUTOVER and cut.topology.components.max() == 1
+    rep = _check_degree_zero(cut, 5, "auto")
+    assert rep.method == "iterative" and rep.multiplicities[0] == 2
+    assert kernel_probe(cut, 0) == 1.0
+
+
+def test_sweep_reports_the_values_of_spectrum():
+    table = esa_sweep("n^2", [4, 5], how_many=3, seed=2)
+    for row in table["rows"]:
+        cx = offspring_tree_family("n^2", row["depth"])
+        down = boundary_weight_down(cx)
+        for d in range(cx.max_degree + 1):
+            vals = spectrum(cx, d, how_many=3, seed=2).eigenvalues
+            assert row["smallest_eigenvalues"][str(d)] == [_sig12(v) for v in vals]
+            lam = spectrum(down, d, how_many=1, seed=2).eigenvalues[0]
+            assert row["sigma_min_boundary_down"][str(d)] == _sig12(math.sqrt(lam * lam + 1.0))
 
 
 def test_scaled_coboundary_is_the_two_diagonal_products():
