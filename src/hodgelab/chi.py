@@ -13,9 +13,10 @@ cut-off system to witness completeness at degree i.  A finite sweep can only
 refute or support a for-all-k statement, so verdicts are three-valued and
 explicitly range-limited.
 
-A vertex function, such as a cut-off, is a float array over the complex's
-vertex table ``cx.topology.vertices``.  The energy functions also take a
-``{label: value}`` mapping, read once on entry with 0.0 where it has no entry.
+An exhaustion, like a layer decomposition of the divergence test, is an int64
+layer array over the vertex table ``cx.topology.vertices``, and a vertex
+function, such as a cut-off, a float array over it.  The energy functions also
+take a ``{label: value}`` mapping, read once with 0.0 where it has no entry.
 """
 
 from __future__ import annotations
@@ -69,51 +70,79 @@ GROWTH_STREAK = 5
 
 @dataclass(eq=False)
 class Exhaustion:
-    """Increasing vertex balls O_k = {distance <= k} from a root set.
+    """Vertex layers and the exhaustion O_k = {layer <= k} that they define.
 
-    ``distance`` holds the graph distance to the roots of every vertex of
-    ``vertices``, the complex's degree-0 table, -1 where a vertex is
-    unreachable; ``dist``, ``set_at`` and ``excluded`` are label views of it.
-    ``==`` is identity.
+    ``layer`` is a read-only int64 array over ``vertices``, the complex's
+    degree-0 table, -1 where a vertex has no layer; ``dist`` (or
+    ``layer_of``), ``set_at``, ``excluded``, ``layers`` and ``num_layers``
+    are label views of it.  ``==`` is identity.
     """
 
-    roots: tuple
-    k_max: int
     vertices: list = field(repr=False)
-    distance: np.ndarray = field(repr=False)
+    layer: np.ndarray = field(repr=False)
+    roots: tuple = ()
+    k_max: int | None = None
+
+    def __post_init__(self):
+        self.layer = np.array(self.layer, dtype=np.int64)
+        if self.layer.shape != (len(self.vertices),) or np.any(self.layer < -1):
+            raise ValueError("a layering needs one integer >= -1 per vertex of its table")
+        self.layer.setflags(write=False)
 
     @functools.cached_property
     def dist(self) -> dict:
-        """``{label: distance}`` over the reachable vertices, in table order."""
-        return {v: d for v, d in zip(self.vertices, self.distance.tolist()) if d >= 0}
+        """``{label: layer}`` over the vertices with a layer, in table order."""
+        return {v: d for v, d in zip(self.vertices, self.layer.tolist()) if d >= 0}
+
+    layer_of = property(lambda self: self.dist)
 
     @property
     def excluded(self) -> tuple:
-        """The unreachable vertices, in table order."""
-        return tuple(v for v, d in zip(self.vertices, self.distance.tolist()) if d < 0)
+        """The vertices without a layer, in table order."""
+        return tuple(v for v, d in zip(self.vertices, self.layer.tolist()) if d < 0)
 
     def set_at(self, k: int) -> set:
         return {v for v, d in self.dist.items() if d <= k}
 
+    @functools.cached_property
+    def layers(self) -> list:
+        """``layers[k]`` lists the vertices of layer k in table order."""
+        return [[v for v, d in self.dist.items() if d == k] for k in range(self.num_layers())]
+
+    def num_layers(self) -> int:
+        return int(self.layer.max(initial=-1)) + 1
+
 
 def make_ball_exhaustion(cx: WeightedComplex, roots: Iterable, k_max: int) -> Exhaustion:
-    """Graph-distance balls around ``roots``; unreachable vertices are
-    excluded and reported on the result.  A root that is not a vertex of
-    ``cx`` raises ``ValueError``."""
+    """Graph-distance balls around ``roots``: a vertex's layer is its
+    distance to the roots; unreachable vertices are excluded and reported on
+    the result.  A root that is not a vertex of ``cx`` raises ``ValueError``."""
     roots = list(roots)
     if not roots:
         raise ValueError("roots must be nonempty")
     # looked up first: vertices are mutually comparable, so the sort cannot raise
     distance = cx.topology.distances_from(roots)
-    distance.setflags(write=False)
-    return Exhaustion(roots=tuple(sorted(set(roots))), k_max=int(k_max),
-                      vertices=cx.topology.vertices, distance=distance)
+    return Exhaustion(cx.topology.vertices, distance, roots=tuple(sorted(set(roots))), k_max=int(k_max))
+
+
+def _same_table(cx: WeightedComplex, vertices: list, what: str) -> None:
+    # an array read on another vertex table of the same length would misalign silently
+    if vertices is not cx.topology.vertices and vertices != cx.topology.vertices:
+        raise ValueError(f"the {what} was built on another vertex table than the complex's")
+
+
+def _budgeted_cutoff(exh: Exhaustion, N: int, xi_fn, horizon: int) -> tuple[np.ndarray, list, float]:
+    """The divergence-ramp cut-off of plateau index ``N`` over the vertex table
+    of ``exh``, with the ``budget_profile`` (profile, tail sum) it reads."""
+    d = exh.layer
+    profile, tail = budget_profile(xi_fn, N, horizon, int(d.max(initial=0)))
+    return np.where(d >= 0, np.array(profile)[d], 0.0), profile, tail
 
 
 def _cutoff_values(exh: Exhaustion, k: int, ramp) -> np.ndarray:
     """The plateau cut-off of index ``k`` (see ``make_cutoff_system``) as a
     read-only float array over the vertex table of ``exh``."""
-    d = exh.distance
+    d = exh.layer
     kind = ramp[0]
     if kind == "linear":
         width = ramp[1]
@@ -123,9 +152,7 @@ def _cutoff_values(exh: Exhaustion, k: int, ramp) -> np.ndarray:
         val = 1.0 - np.maximum(0, d - k) / width
         chi = np.where((d >= 0) & (val > 0), np.minimum(1.0, val), 0.0)
     elif kind == "divergence":
-        _, xi_fn, horizon = ramp
-        profile, _ = budget_profile(xi_fn, k, horizon, int(d.max(initial=0)))
-        chi = np.where(d >= 0, np.array(list(profile.values()))[d], 0.0)
+        chi = _budgeted_cutoff(exh, k, *ramp[1:])[0]
     else:
         raise ValueError(f"unknown ramp kind {kind!r}")
     chi.setflags(write=False)
@@ -138,13 +165,15 @@ def make_plateau_cutoff(exh: Exhaustion, k: int, ramp) -> dict:
     return {v: x for v, x in zip(exh.vertices, _cutoff_values(exh, k, ramp).tolist()) if x > 0}
 
 
-def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[dict, float]:
+def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[list, float]:
     """Layer values of the 1/sqrt(xi)-budgeted plateau cut-off.
 
     The value is 1 on layers <= N and, on layer l > N,
     max(0, 1 - sum_{j=N}^{l-1} s_j / sum_{j=N}^{horizon} s_j) with
-    s_j = 1/sqrt(xi(j)).  Returns ({layer: value} for layers 0..top, tail sum).
+    s_j = 1/sqrt(xi(j)).  Returns ([value of layer l for l in 0..top], tail sum).
     """
+    if N < 0:
+        raise ValueError(f"the plateau index {N} must be nonnegative")
     if horizon <= N:
         raise ValueError("horizon must exceed the plateau index")
     steps = []
@@ -158,13 +187,8 @@ def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[dict, float]:
             raise ValueError(f"xi({j}) must be positive for the cut-off budget")
         steps.append(1.0 / math.sqrt(x))
     tail = math.fsum(steps)
-    profile = {}
-    for ell in range(top + 1):
-        if ell <= N:
-            profile[ell] = 1.0
-        else:
-            spent = math.fsum(steps[: min(ell - N, len(steps))])
-            profile[ell] = max(0.0, 1.0 - spent / tail)
+    profile = [1.0 if ell <= N else max(0.0, 1.0 - math.fsum(steps[:ell - N]) / tail)
+               for ell in range(top + 1)]
     return profile, tail
 
 
@@ -318,9 +342,7 @@ class EnergyProfile:
 
 def _profile(cx: WeightedComplex, cutoffs: CutoffSystem, degrees: Sequence[int],
              mode: str) -> EnergyProfile:
-    # an array read on another vertex table of the same length would misalign silently
-    if cutoffs.vertices is not cx.topology.vertices and cutoffs.vertices != cx.topology.vertices:
-        raise ValueError("the cut-off system was built on another vertex table than the complex's")
+    _same_table(cx, cutoffs.vertices, "cut-off system")
     degrees = tuple(degrees)
     ks = cutoffs.ks
 

@@ -13,8 +13,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import chi as chi_mod
 from . import divergence as div_mod
@@ -57,19 +55,7 @@ def _emit(args, result: dict) -> None:
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
         "result": result,
     }
-    _write(args, json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n")
-
-
-def _json_default(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, tuple):
-        return list(x)
-    raise TypeError(f"not JSON serializable: {type(x)}")
+    _write(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _csv_cell(x) -> str:
@@ -141,16 +127,16 @@ def cmd_chi(args) -> int:
         cx = induced_subcomplex(cx, region)
     else:
         coupling = None
-    roots = _roots_for(cx, args)
-    exh = chi_mod.make_ball_exhaustion(cx, roots, max(ks))
+    exh = chi_mod.make_ball_exhaustion(cx, _roots_for(cx, args), max(ks))
     if args.ramp == "linear":
         ramp = ("linear", args.ramp_width)
     else:
-        layers = div_mod.layers_by_distance(cx, roots)
+        if exh.excluded:
+            raise ValueError(f"{len(exh.excluded)} vertices unreachable from roots")
         # the outermost layer has no forward layer; its zero count is a
         # truncation artifact, so the budget extends the last interior value
-        interior = range(max(1, layers.num_layers() - 1))
-        table = div_mod.growth_table(cx, layers, interior)
+        interior = range(max(1, exh.num_layers() - 1))
+        table = div_mod.growth_table(cx, exh, interior)
         xi_seq = [table[k][0] for k in interior]
         if any(x is not None and x <= 0 for x in xi_seq):
             raise ValueError("growth vanishes on an interior layer; "
@@ -200,7 +186,7 @@ def cmd_divergence(args) -> int:
     result.update(div_mod.divergence_partial_sums(xi_fn, ks).to_json())
     if args.cutoff_n is not None:
         profile, _ = chi_mod.budget_profile(xi_fn, args.cutoff_n, args.horizon, top)
-        result["cutoff_profiles"] = {str(args.cutoff_n): {str(l): v for l, v in profile.items()}}
+        result["cutoff_profiles"] = {str(args.cutoff_n): {str(l): v for l, v in enumerate(profile)}}
     _emit(args, result)
     return 0
 

@@ -1,7 +1,8 @@
 """Layer decompositions, the forward growth function and the divergence test.
 
 A 1-dimensional decomposition partitions the vertex set into layers such that
-edges join layers at most one apart.  The growth function
+edges join layers at most one apart: a ``LayerDecomposition``, the same class
+as the exhaustion :class:`hodgelab.chi.Exhaustion`.  The growth function
 
     xi(k, k+1) = sum over geometric degrees g = 0..n-1 of
                  sup over degree-g simplices assigned to layer k of
@@ -9,7 +10,8 @@ edges join layers at most one apart.  The growth function
 
 drives both the divergence test (divergence of sum 1/sqrt(xi)) and the
 construction of layer-constant cut-offs whose decrements are budgeted by
-1/sqrt(xi).  Simplices are assigned to the layer of their minimum vertex.
+1/sqrt(xi).  Simplices are assigned to the layer of their minimum vertex, -1
+(none) when a vertex has no layer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chi import _vertex_array, budget_profile, leibniz_remainder
+from .chi import Exhaustion, _budgeted_cutoff, _same_table, _vertex_array, leibniz_remainder, make_ball_exhaustion
 from .complexes import WeightedComplex
 from .operators import norm
 
@@ -38,35 +40,25 @@ __all__ = [
     "step3_estimate",
 ]
 
-
-@dataclass
-class LayerDecomposition:
-    """Ordered partition of the vertex set: ``layers[k]`` lists the vertices
-    of layer k in sorted order."""
-
-    layer_of: dict
-
-    def __post_init__(self):
-        top = max(self.layer_of.values(), default=-1)
-        self.layers = [[] for _ in range(top + 1)]
-        for v in sorted(self.layer_of):
-            self.layers[self.layer_of[v]].append(v)
-
-    def num_layers(self) -> int:
-        return len(self.layers)
+LayerDecomposition = Exhaustion
 
 
 def layers_by_depth(cx: WeightedComplex) -> LayerDecomposition:
-    """Layer = word length; for rooted-tree families whose ids are tuples."""
-    return LayerDecomposition({v: len(v) for v in cx.topology.vertices})
+    """Layer = word length; for rooted-tree families whose ids are tuples.
+    An id without a length raises ``ValueError``."""
+    vertices = cx.topology.vertices
+    bad = next((v for v in vertices if not hasattr(v, "__len__")), None)
+    if bad is not None:
+        raise ValueError(f"vertex {bad!r} has no length, so no depth layer (layer by distance instead)")
+    return LayerDecomposition(vertices, [len(v) for v in vertices])
 
 
 def layers_by_distance(cx: WeightedComplex, roots: Iterable) -> LayerDecomposition:
-    dist = cx.topology.distances_from(roots)
-    missing = int(np.count_nonzero(dist < 0))
-    if missing:
-        raise ValueError(f"{missing} vertices unreachable from roots")
-    return LayerDecomposition(dict(zip(cx.topology.vertices, dist.tolist())))
+    """Graph-distance layers from ``roots``; every vertex must be reachable."""
+    layers = make_ball_exhaustion(cx, roots, 0)
+    if layers.excluded:
+        raise ValueError(f"{len(layers.excluded)} vertices unreachable from roots")
+    return layers
 
 
 @dataclass
@@ -80,24 +72,21 @@ class ValidationReport:
 
 def validate_decomposition(cx: WeightedComplex, layers: LayerDecomposition) -> ValidationReport:
     """Check the partition and unit-jump properties; violations are data."""
-    uncovered = [v for v in cx.topology.vertices if v not in layers.layer_of]
-    violations = []
-    hist: dict[int, int] = {}
-    for (u, v) in cx.simplices[1]:
-        lu, lv = layers.layer_of.get(u), layers.layer_of.get(v)
-        if lu is None or lv is None:
-            continue
-        jump = abs(lu - lv)
-        hist[jump] = hist.get(jump, 0) + 1
-        if jump > 1:
-            violations.append((u, v))
-    ok = not uncovered and not violations
+    _same_table(cx, layers.vertices, "layer decomposition")
+    edges = cx.topology.vertex_index(1)
+    ends = layers.layer[edges]
+    covered = (ends >= 0).all(axis=1)
+    jump = np.abs(ends[:, 0] - ends[:, 1])
+    # in edge-table order, so the first violation is the first such edge of the table
+    violations = [tuple(map(cx.topology.vertices.__getitem__, e)) for e in edges[covered & (jump > 1)].tolist()]
+    values, counts = np.unique(jump[covered], return_counts=True)
+    uncovered = list(layers.excluded)
     return ValidationReport(
-        ok=ok,
+        ok=not uncovered and not violations,
         first_violation=violations[0] if violations else None,
         violations=violations,
         uncovered=uncovered,
-        jump_histogram=dict(sorted(hist.items())),
+        jump_histogram=dict(zip(values.tolist(), counts.tolist())),
     )
 
 
@@ -108,9 +97,11 @@ def growth_table(cx: WeightedComplex, layers: LayerDecomposition, ks: Sequence[i
     degree-g simplices of minimum vertex layer k, counting coface extensions
     into layer k+1; (None, {}) where layer k holds no vertex.
     """
-    wanted = set(int(k) for k in ks)
+    _same_table(cx, layers.vertices, "layer decomposition")
+    wanted = sorted(set(int(k) for k in ks))
+    layer = layers.layer
+    occupied = set(layer.tolist())
     n = cx.max_degree
-    layer = np.array([layers.layer_of[v] for v in cx.topology.vertices], dtype=np.int64)
     sup: dict[tuple, tuple] = {}
     for g in range(0, n):
         k_of = layer[cx.topology.vertex_index(g)].min(axis=1)
@@ -119,12 +110,13 @@ def growth_table(cx: WeightedComplex, layers: LayerDecomposition, ks: Sequence[i
         for k in wanted:
             rows = np.flatnonzero(k_of == k)
             if rows.size:
-                # argmax gives the first maximizer, the witness in index order
+                # argmax gives the first maximizer, the witness in index order, named from its row
                 best = rows[np.argmax(fwd[rows])]
-                sup[(g, k)] = (int(fwd[best]), cx.simplices[g][best])
+                row = cx.topology.vertex_index(g)[best].tolist()
+                sup[(g, k)] = (int(fwd[best]), tuple(map(cx.topology.vertices.__getitem__, row)))
     out = {}
-    for k in sorted(wanted):
-        if not 0 <= k < layers.num_layers() or not layers.layers[k]:
+    for k in wanted:
+        if k < 0 or k not in occupied:
             out[k] = (None, {})
             continue
         breakdown = {g: sup.get((g, k), (0, None)) for g in range(0, n)}
@@ -161,7 +153,7 @@ def _as_xi_fn(xi) -> Callable[[int], float]:
     """Growth lookup from a callable or a measured table.
 
     Table entries keep their None (undefined) markers; indices beyond the
-    table hold the last measured value.
+    table hold the last measured value, and a negative index is refused.
     """
     if callable(xi):
         return xi
@@ -169,6 +161,8 @@ def _as_xi_fn(xi) -> Callable[[int], float]:
     last = next((x for x in reversed(seq) if x is not None), None)
 
     def fn(j: int):
+        if j < 0:
+            raise ValueError(f"no growth xi({j}): layers start at 0")
         if j < len(seq):
             return seq[j]
         if last is None:
@@ -243,14 +237,14 @@ def _classify_partial_sums(ks, partials):
 
 def divergence_cutoffs(layers: LayerDecomposition, xi, N: int, horizon: int):
     """Layer-constant plateau cut-off with 1/sqrt(xi)-budgeted decrements,
-    the layer values of :func:`hodgelab.chi.budget_profile`.
+    the cut-off of ``make_cutoff_system`` for the ramp ("divergence", xi, horizon).
 
-    Returns (vertex_chi, info) with the layer profile and tail bookkeeping.
+    Returns (vertex_chi, info): ``{label: value}`` where the cut-off is
+    positive, and the layer profile of ``budget_profile`` with its tail.
     """
     fn = _as_xi_fn(xi)
-    profile, tail = budget_profile(fn, N, horizon, layers.num_layers() - 1)
-    chi = {v: profile[layers.layer_of[v]] for v in layers.layer_of
-           if profile[layers.layer_of[v]] > 0}
+    values, profile, tail = _budgeted_cutoff(layers, N, fn, horizon)
+    chi = {v: x for v, x in zip(layers.vertices, values.tolist()) if x > 0}
     info = {
         "N": N,
         "horizon": horizon,
@@ -287,16 +281,6 @@ class Step3Report:
     cochain_norms: list
     smallest_C: list
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "tail_sum": self.tail_sum,
-            "degrees": self.degrees,
-            "remainder_norms": self.remainder_norms,
-            "cochain_norms": self.cochain_norms,
-            "smallest_C": self.smallest_C,
-        }
-
 
 def step3_estimate(cx: WeightedComplex, layers: LayerDecomposition, chi: Mapping | np.ndarray,
                    u: tuple, tail_sum: float, N: int) -> Step3Report:
@@ -307,16 +291,8 @@ def step3_estimate(cx: WeightedComplex, layers: LayerDecomposition, chi: Mapping
     as N grows whenever the budget sums grow.
     """
     c = _vertex_array(cx, chi)
-    degrees, rnorms, unorms, consts = [], [], [], []
-    for i, f in enumerate(u):
-        rep = leibniz_remainder(cx, c, f)
-        un = norm(cx, i, f.values)
-        degrees.append(i)
-        rnorms.append(rep.norm_d)
-        unorms.append(un)
-        if un > 0:
-            consts.append(rep.norm_d ** 2 * tail_sum / un ** 2)
-        else:
-            consts.append(0.0)
-    return Step3Report(N=N, tail_sum=tail_sum, degrees=degrees,
+    rnorms = [leibniz_remainder(cx, c, f).norm_d for f in u]
+    unorms = [norm(cx, i, f.values) for i, f in enumerate(u)]
+    consts = [r ** 2 * tail_sum / un ** 2 if un > 0 else 0.0 for r, un in zip(rnorms, unorms)]
+    return Step3Report(N=N, tail_sum=tail_sum, degrees=list(range(len(u))),
                        remainder_norms=rnorms, cochain_norms=unorms, smallest_C=consts)

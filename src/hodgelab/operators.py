@@ -138,19 +138,18 @@ def coboundary_matrix(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
     return cx.topology.incidence(degree)
 
 
-def _weight_diags(cx: WeightedComplex, degree: int):
-    m = cx.weights[degree]
-    return sp.diags(m), sp.diags(1.0 / m)
+def _scaled(a: sp.csr_matrix, row: np.ndarray, col: np.ndarray) -> sp.csr_matrix:
+    """diag(row) a diag(col) on the sparsity pattern of the CSR matrix ``a``,
+    each entry a * row * col, the rounding of the two diagonal products."""
+    return sp.csr_matrix((a.data * np.repeat(row, np.diff(a.indptr)) * col[a.indices], a.indices, a.indptr),
+                         shape=a.shape)
 
 
 def codifferential_matrix(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
     """δ_degree = M_{degree-1}^{-1} d^T M_degree, acting degree -> degree-1."""
     if not 1 <= degree <= cx.max_degree:
         raise ValueError(f"codifferential degree {degree} out of range")
-    d = coboundary_matrix(cx, degree - 1)
-    m_up, _ = _weight_diags(cx, degree)
-    _, m_dn_inv = _weight_diags(cx, degree - 1)
-    return (m_dn_inv @ d.T @ m_up).tocsr()
+    return _scaled(coboundary_matrix(cx, degree - 1).T.tocsr(), 1.0 / cx.weights[degree - 1], cx.weights[degree])
 
 
 def laplacian_matrix(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
@@ -205,12 +204,8 @@ def symmetrized_laplacian(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
 
 
 def _scaled_coboundary(cx: WeightedComplex, degree: int) -> sp.csr_matrix:
-    """W = M_{degree+1}^{1/2} d M_degree^{-1/2} on the sparsity pattern of d,
-    each entry multiplied in the order of the two diagonal products."""
-    d = coboundary_matrix(cx, degree)
-    s_up = np.repeat(np.sqrt(cx.weights[degree + 1]), np.diff(d.indptr))
-    s_dn = 1.0 / np.sqrt(cx.weights[degree])
-    return sp.csr_matrix((d.data * s_up * s_dn[d.indices], d.indices, d.indptr), shape=d.shape)
+    """W = M_{degree+1}^{1/2} d M_degree^{-1/2}."""
+    return _scaled(coboundary_matrix(cx, degree), np.sqrt(cx.weights[degree + 1]), 1.0 / np.sqrt(cx.weights[degree]))
 
 
 def assemble_block(cx: WeightedComplex, kind: str, degree: int | None = None) -> sp.csr_matrix:

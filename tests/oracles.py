@@ -175,11 +175,32 @@ def cofaces(tables, degree):
 def growth_sups(tables, layer_of, degree):
     """{k: (sup, witness)} over degree-``degree`` simplices with minimum vertex
     layer k of the count of cofaces whose added vertex lies in layer k+1; the
-    witness is the first maximizer in table order."""
+    witness is the first maximizer in table order.  A vertex missing from
+    ``layer_of`` has no layer: a simplex with one belongs to no layer, and an
+    extension by one is not counted."""
     out = {}
     for s, ext in zip(tables[degree], cofaces(tables, degree)):
+        if any(v not in layer_of for v in s):
+            continue
         k = min(layer_of[v] for v in s)
-        fwd = sum(1 for x, _ in ext if layer_of[x] == k + 1)
+        fwd = sum(1 for x, _ in ext if layer_of.get(x) == k + 1)
         if k not in out or fwd > out[k][0]:
             out[k] = (fwd, s)
     return out
+
+
+def decomposition_report(tables, layer_of):
+    """(ok, violations, jump histogram, uncovered) of the ``{vertex: layer}``
+    map ``layer_of``: the vertices of ``tables[0]`` missing from it, in table
+    order; the edges of ``tables[1]`` between layered vertices whose layers
+    differ by more than one, in table order; and ``{jump: edge count}`` over
+    those edges, sorted by jump.  ``ok`` when both lists are empty."""
+    uncovered = [v for (v,) in tables[0] if v not in layer_of]
+    violations, hist = [], {}
+    for u, v in (tables[1] if len(tables) > 1 else []):
+        if u in layer_of and v in layer_of:
+            jump = abs(layer_of[u] - layer_of[v])
+            hist[jump] = hist.get(jump, 0) + 1
+            if jump > 1:
+                violations.append((u, v))
+    return not uncovered and not violations, violations, dict(sorted(hist.items())), uncovered

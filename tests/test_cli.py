@@ -296,6 +296,32 @@ def test_divergence_cutoff_over_unmeasured_growth_is_refused(tmp_path, capsys, k
     assert f"error: the growth xi({layer}) of layer {layer} is undefined" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--input", "tree.json", "--k-range", "0..3", "--cutoff-n", "-1", "--horizon", "5"],
+    ["chi", "--input", "tree.json", "--ramp", "divergence", "--roots", "[[]]", "--k-range=-1..1",
+     "--horizon", "5"],
+])
+def test_negative_plateau_index_is_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "generate", "--kind", "offspring-tree", "--off", "n^2", "--depth", "4", "--output", "tree.json")
+    code, _, err = run(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: the plateau index -1 must be nonnegative"
+
+
+def test_depth_layers_of_number_ids_are_refused(tmp_path, capsys):
+    cx_path = tmp_path / "numbers.json"
+    cx_path.write_text(json.dumps({
+        "vertices": [{"id": v, "m0": 1.0} for v in (0, 1, 2)],
+        "edges": [{"u": 0, "v": 1, "m1": 1.0}, {"u": 1, "v": 2, "m1": 1.0}], "max_degree": 1}))
+    code, _, err = run(capsys, "divergence", "--input", str(cx_path), "--k-range", "0..1")
+    assert_one_line_error(code, err)
+    assert err.startswith("error: vertex 0 has no length")
+    code, out, _ = run(capsys, "divergence", "--input", str(cx_path), "--k-range", "0..1",
+                       "--layers", "distance", "--roots", "[0]")
+    assert code == 0 and json.loads(out)["result"]["decomposition_ok"]
+
+
 def test_divergence_unbounded_formula_is_refused(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "divergence", "--xi", "9^9^9", "--k-range", "1..2")

@@ -19,7 +19,7 @@ from hodgelab import (
 )
 from hodgelab import complexes
 from hodgelab.complexes import Topology, reweighted
-from hodgelab.divergence import LayerDecomposition, growth_table
+from hodgelab.divergence import LayerDecomposition, growth_table, validate_decomposition
 from hodgelab.generators import gen_lattice, gen_perturbed_lattice, lattice_cube, offspring_tree_family
 from hodgelab.operators import coboundary_matrix
 
@@ -30,6 +30,7 @@ from oracles import (
     clique_counts,
     clique_tables,
     cofaces,
+    decomposition_report,
     growth_sups,
     permutation_sign,
     verify_clique_soundness,
@@ -329,17 +330,27 @@ def test_topology_arrays_match_oracles(graph, data):
     assert [w.tolist() for w in sub.weights] == want_weights
     _check_skeleton(sub, roots)
 
-    layer_of = {v: data.draw(st.integers(0, 3)) for v in vertex_pos}
-    layers = LayerDecomposition(layer_of)
+    # one layer per vertex, -1 (no layer) included; the oracles read the {label: layer} dict
+    drawn = data.draw(st.lists(st.integers(-1, 3), min_size=len(vertex_pos), max_size=len(vertex_pos)))
+    layers = LayerDecomposition(top.vertices, drawn)
+    layer_of = {v: k for v, k in zip(vertex_pos, drawn) if k >= 0}
+    assert layers.layer_of == layer_of and list(layers.excluded) == [v for v in vertex_pos if v not in layer_of]
+    assert layers.num_layers() == max(layer_of.values(), default=-1) + 1
+    assert layers.layers == [[v for v in vertex_pos if layer_of.get(v) == k] for k in range(layers.num_layers())]
     table = growth_table(cx, layers, range(-1, 6))
     sups = [growth_sups(tables, layer_of, g) for g in range(cx.max_degree)]
     for k, (xi, breakdown) in table.items():
-        if not 0 <= k < layers.num_layers() or not layers.layers[k]:
+        if k not in layer_of.values():
             assert (xi, breakdown) == (None, {})
             continue
         assert breakdown == {g: sups[g].get(k, (0, None)) for g in range(cx.max_degree)}
         assert all(type(sup) is int for sup, _ in breakdown.values())
         assert xi == float(sum(sup for sup, _ in breakdown.values()))
+    rep = validate_decomposition(cx, layers)
+    ok, violations, histogram, uncovered = decomposition_report(tables, layer_of)
+    assert (rep.ok, rep.violations, rep.jump_histogram, rep.uncovered) == (ok, violations, histogram, uncovered)
+    assert rep.first_violation == (violations[0] if violations else None)
+    assert all(type(j) is int and type(c) is int for j, c in rep.jump_histogram.items())
 
 
 def test_topology_refuses_tables_without_their_faces():

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from hodgelab import WeightedGraph, build_clique_complex
+from hodgelab.chi import Exhaustion, make_ball_exhaustion, make_plateau_cutoff
 from hodgelab.divergence import (
     LayerDecomposition,
     divergence_cutoffs,
@@ -20,6 +23,67 @@ from hodgelab.generators import (
 )
 from hodgelab.operators import Cochain, norm, random_cochain
 
+from test_complexes import weighted_graph_complexes
+
+
+def test_layer_decomposition_is_the_exhaustion_class():
+    cx = gen_lattice(2, 2, 3)
+    layers = layers_by_distance(cx, {(0, 0)})
+    assert LayerDecomposition is Exhaustion and type(layers) is Exhaustion
+    assert type(layers_by_depth(offspring_tree_family(2, 3))) is Exhaustion
+    assert layers.layer.dtype == np.int64 and not layers.layer.flags.writeable
+    assert layers.layer.tolist() == make_ball_exhaustion(cx, {(0, 0)}, 2).layer.tolist()
+    with pytest.raises(ValueError, match="one integer >= -1 per vertex"):
+        LayerDecomposition(cx.topology.vertices, [0] * (len(cx.topology.vertices) - 1))
+    with pytest.raises(ValueError, match="one integer >= -1 per vertex"):
+        LayerDecomposition(cx.topology.vertices, [-2] * len(cx.topology.vertices))
+
+
+def test_layers_on_another_vertex_table_are_refused():
+    cx, other = gen_lattice(2, 2, 3), gen_lattice(2, 2, 4)
+    layers = layers_by_distance(other, {(0, 0)})
+    for check in (validate_decomposition, lambda c, l: growth_table(c, l, [0])):
+        with pytest.raises(ValueError, match="layer decomposition was built on another vertex table"):
+            check(cx, layers)
+
+
+@given(weighted_graph_complexes(sparse=True), st.data())
+def test_divergence_cutoffs_are_the_divergence_ramp_cutoff(graph, data):
+    """One cut-off path: the layer-budgeted cut-off of the divergence test
+    equals the divergence-ramp plateau cut-off on the ball exhaustion from the
+    same roots, exactly."""
+    labels, _, cx = graph
+    comp = cx.topology.components.tolist()
+    # one root in each component, so that every vertex has a distance layer
+    roots = {v for v, f in zip(labels, data.draw(st.lists(st.booleans(), min_size=len(labels),
+                                                         max_size=len(labels)))) if f}
+    roots |= {labels[comp.index(c)] for c in set(comp)}
+    xis = data.draw(st.lists(st.floats(0.5, 100.0), min_size=1, max_size=5))
+    xi = lambda j: xis[j % len(xis)]
+    N = data.draw(st.integers(0, 4))
+    horizon = N + data.draw(st.integers(1, 10))
+    got, info = divergence_cutoffs(layers_by_distance(cx, roots), xi, N, horizon)
+    assert got == make_plateau_cutoff(make_ball_exhaustion(cx, roots, 0), N, ("divergence", xi, horizon))
+    assert list(got) == [v for v in cx.topology.vertices if v in got]  # table order
+
+
+def test_depth_layers_refuse_ids_without_a_length(K3):
+    # string and tuple ids keep their word lengths as layers
+    assert layers_by_depth(K3).layer_of == {"a": 1, "b": 1, "c": 1}
+    tree = offspring_tree_family(2, 3)
+    assert layers_by_depth(tree).layer_of == {v: len(v) for v in tree.topology.vertices}
+    numbered = build_clique_complex(WeightedGraph({0: 1.0, 1: 1.0, 2: 1.0}, {(0, 1): 1.0, (1, 2): 1.0}), 1)
+    with pytest.raises(ValueError, match="vertex 0 has no length"):
+        layers_by_depth(numbered)
+
+
+def test_negative_plateau_index_and_growth_index_are_refused():
+    for N in (-1, -3):
+        with pytest.raises(ValueError, match=f"plateau index {N} must be nonnegative"):
+            divergence_cutoffs(layers_by_depth(offspring_tree_family(2, 3)), [4.0, 5.0], N, 5)
+    with pytest.raises(ValueError, match=r"no growth xi\(-1\)"):
+        divergence_partial_sums([4.0, 5.0, 6.0], range(-1, 2))
+
 
 def test_validate_binary_tree_by_depth():
     cx = gen_truncated_tree(2, 5)
@@ -31,11 +95,11 @@ def test_validate_binary_tree_by_depth():
 def test_validate_lattice_by_l1_distance():
     # plain grid: every edge changes the l1 norm by exactly one
     grid = gen_lattice(2, 2, 10, "nearest")
-    layers = LayerDecomposition({v: abs(v[0]) + abs(v[1]) for v in grid.topology.vertices})
+    layers = LayerDecomposition(grid.topology.vertices, [abs(v[0]) + abs(v[1]) for v in grid.topology.vertices])
     assert validate_decomposition(grid, layers).ok
     # with diagonal adjacency the (1,1) steps jump two l1 layers
     cx = gen_lattice(2, 2, 5)
-    layers = LayerDecomposition({v: abs(v[0]) + abs(v[1]) for v in cx.topology.vertices})
+    layers = LayerDecomposition(cx.topology.vertices, [abs(v[0]) + abs(v[1]) for v in cx.topology.vertices])
     rep = validate_decomposition(cx, layers)
     assert not rep.ok
     assert rep.jump_histogram.get(2, 0) > 0
@@ -46,7 +110,7 @@ def test_validate_lattice_by_l1_distance():
 
 def test_validate_parity_classes():
     cx = gen_lattice(2, 2, 3)
-    layers = LayerDecomposition({v: v[0] % 2 for v in cx.topology.vertices})
+    layers = LayerDecomposition(cx.topology.vertices, [v[0] % 2 for v in cx.topology.vertices])
     rep = validate_decomposition(cx, layers)
     # exhaustive scan decides; vertical edges stay inside one class (jump 0),
     # horizontal and diagonal edges jump by one, so the scan accepts
@@ -63,7 +127,7 @@ def test_offspring_tree_depth_layers_violate_unit_jump():
 
 def test_growth_path_graph():
     cx = gen_lattice(1, 1, 8, "nearest")
-    layers = LayerDecomposition({v: v[0] + 8 for v in cx.topology.vertices})
+    layers = LayerDecomposition(cx.topology.vertices, [v[0] + 8 for v in cx.topology.vertices])
     tab = growth_table(cx, layers, range(0, 15))
     for k in range(0, 15):
         assert tab[k][0] == 1.0
