@@ -142,6 +142,8 @@ def _budgeted_cutoff(exh: Exhaustion, N: int, xi_fn, horizon: int) -> tuple[np.n
 def _cutoff_values(exh: Exhaustion, k: int, ramp) -> np.ndarray:
     """The plateau cut-off of index ``k`` (see ``make_cutoff_system``) as a
     read-only float array over the vertex table of ``exh``."""
+    if k < 0:
+        raise ValueError(f"the plateau index {k} must be nonnegative")
     d = exh.layer
     kind = ramp[0]
     if kind == "linear":

@@ -112,8 +112,9 @@ class Topology:
     rows in lexicographic order.  These are the only stored form of the
     simplices.  Column l of ``face_arrays[i]`` is the index of the face
     omitting vertex l (``face_arrays[0]`` has no columns).  ``extension_coo``,
-    ``incidence``, ``components`` and the label tuples ``simplices`` are
-    derived on first use and cached.  Every reweighting shares the topology.
+    ``incidence``, ``components``, ``betti`` and the label tuples
+    ``simplices`` are derived on first use and cached.  Every reweighting
+    shares the topology.
     """
 
     def __init__(self, vertices: list, tables: Sequence[np.ndarray]):
@@ -180,6 +181,44 @@ class Topology:
         labels = connected_components(self._adjacency, directed=False)[1]
         labels.setflags(write=False)
         return labels
+
+    @cached_property
+    def betti(self) -> tuple[int, ...]:
+        """Real Betti numbers beta_0..beta_n, kept by elementary collapses.
+
+        A face of degree >= 1 with exactly one live coface is free; each
+        round, per degree from the top, a ``bincount`` over the face arrays
+        finds the free faces, and every live coface with one goes, paired
+        with its first free face.  The removed coface has no live coface of
+        its own, so the live simplices stay a complex of the same homotopy
+        type.  On the core, rank d_0 is N_0 - beta_0 (the components), and
+        d_i, i >= 1, takes a dense rank over its live rows; a core with no
+        simplex above degree 1 has none to take, and beta_1 = E - V + beta_0.
+        """
+        n, sizes = self.max_degree, [len(V) for V in self._vertex_index]
+        alive = [np.ones(size, dtype=bool) for size in sizes]
+        moved = True
+        while moved:
+            moved = False
+            for i in range(n, 1, -1):
+                live = np.flatnonzero(alive[i])
+                F = self.face_arrays[i][live]
+                free = alive[i - 1] & (np.bincount(F.ravel(), minlength=sizes[i - 1]) == 1)
+                hit = free[F]
+                paired = hit.any(axis=1)
+                alive[i][live[paired]] = False
+                alive[i - 1][F[paired, hit[paired].argmax(axis=1)]] = False
+                moved |= bool(paired.any())
+        beta0 = int(self.components.max(initial=-1)) + 1
+        ranks = [0, sizes[0] - beta0]  # ranks[i] = rank of d_{i-1} on the core
+        for i in range(2, n + 1):
+            rank = 0
+            if alive[i].any():
+                core = self.incidence(i - 1)[alive[i]]
+                rank = int(np.linalg.matrix_rank(core[:, np.unique(core.indices)].toarray()))
+            ranks.append(rank)
+        ranks.append(0)
+        return tuple(int(alive[i].sum()) - ranks[i] - ranks[i + 1] for i in range(n + 1))
 
     def distances_from(self, roots: Iterable[Vertex]) -> np.ndarray:
         """int64 graph distance to ``roots`` over the degree-1 simplices, one

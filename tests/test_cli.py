@@ -300,6 +300,7 @@ def test_divergence_cutoff_over_unmeasured_growth_is_refused(tmp_path, capsys, k
     ["divergence", "--input", "tree.json", "--k-range", "0..3", "--cutoff-n", "-1", "--horizon", "5"],
     ["chi", "--input", "tree.json", "--ramp", "divergence", "--roots", "[[]]", "--k-range=-1..1",
      "--horizon", "5"],
+    ["chi", "--input", "tree.json", "--roots", "[[]]", "--k-range=-1..1"],
 ])
 def test_negative_plateau_index_is_refused(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

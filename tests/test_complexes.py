@@ -20,11 +20,19 @@ from hodgelab import (
 from hodgelab import complexes
 from hodgelab.complexes import Topology, reweighted
 from hodgelab.divergence import LayerDecomposition, growth_table, validate_decomposition
-from hodgelab.generators import gen_lattice, gen_perturbed_lattice, lattice_cube, offspring_tree_family
+from hodgelab.generators import (
+    gen_alternating_triangulation,
+    gen_lattice,
+    gen_perturbed_lattice,
+    gen_truncated_tree,
+    lattice_cube,
+    offspring_tree_family,
+)
 from hodgelab.operators import coboundary_matrix
 
 from conftest import k3_description, unit_graph
 from oracles import (
+    betti_by_rank,
     bfs_distances,
     boundary_matrix,
     clique_counts,
@@ -383,3 +391,60 @@ def test_description_load_builds_each_kept_table_once(monkeypatch):
         cx = complex_from_json(json.loads(json.dumps(doc)))
         assert len(built) == builds
         assert complex_to_json(cx) == doc
+
+
+@given(st.one_of(weighted_graph_complexes(), weighted_graph_complexes(sparse=True)))
+def test_betti_numbers_by_collapses_match_the_rank_oracle(graph):
+    _, _, cx = graph
+    assert cx.topology.betti == tuple(betti_by_rank(cx.simplices))
+    assert reweighted(cx, cx.weights).topology.betti is cx.topology.betti
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_lattice(1, 1, 4),
+    lambda: gen_lattice(2, 2, 3),
+    lambda: gen_lattice(3, 3, 2),
+    lambda: gen_perturbed_lattice(2, 2, 3, lattice_cube(2, 2)),
+    lambda: gen_alternating_triangulation(3),
+    lambda: gen_truncated_tree(2, 4),
+    lambda: offspring_tree_family("n^2", 4),
+    lambda: offspring_tree_family("n^2", 4, tet_parity=1),
+    lambda: offspring_tree_family("2", 6),
+    lambda: offspring_tree_family("2", 6, tet_parity=1),
+])
+def test_betti_numbers_of_the_generator_families(make):
+    cx = make()
+    assert cx.topology.betti == tuple(betti_by_rank(cx.simplices))
+
+
+def _recorded_ranks(monkeypatch) -> list:
+    """The shapes of the matrices whose rank numpy is asked for from now on."""
+    shapes, rank = [], np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: shapes.append(M.shape) or rank(M))
+    return shapes
+
+
+def test_betti_of_a_graph_core_takes_no_rank(monkeypatch):
+    """The odd squares stay hollow: the triangles collapse onto a graph with
+    one loop per odd square, and beta_1 = E - V + beta_0."""
+    cx = gen_alternating_triangulation(6)
+    shapes = _recorded_ranks(monkeypatch)
+    assert cx.topology.betti == (1, 72, 0)
+    assert shapes == []
+    graph = build_clique_complex(unit_graph("abcdefg", [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")]), 2)
+    hollow = drop_simplices(graph, 2, lambda s: False)
+    assert graph.topology.betti == (4, 0, 0) and hollow.topology.betti == (4, 1, 0)
+    assert shapes == []
+    for x in (graph, hollow):
+        assert x.topology.betti == tuple(betti_by_rank(x.simplices))
+
+
+def test_betti_of_the_hollow_tetrahedron_takes_a_rank_on_its_core(K4, monkeypatch):
+    """No face of the boundary of the tetrahedron is free, so the core is the
+    whole 2-skeleton: its d_1 (4 triangles by 6 edges) has rank 3, and the
+    sphere's beta_2 is 1."""
+    hollow = drop_simplices(K4, 3, lambda s: False)
+    shapes = _recorded_ranks(monkeypatch)
+    assert hollow.topology.betti == (1, 0, 1, 0)
+    assert shapes == [(4, 6)]
+    assert hollow.topology.betti == tuple(betti_by_rank(hollow.simplices))

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from hodgelab import build_clique_complex, drop_simplices
+from hodgelab import build_clique_complex, drop_simplices, spectral
 from hodgelab.complexes import reweighted
 from hodgelab.generators import offspring_tree_family, gen_lattice, gen_truncated_tree, radial_weighting
-from hodgelab.operators import _scaled_coboundary, coboundary_matrix
+from hodgelab.operators import _scaled_coboundary, coboundary_matrix, symmetrized_laplacian
 from hodgelab.spectral import (
     DENSE_CUTOVER,
     KERNEL_THRESH,
+    _hodge_spectra,
     _sig12,
     boundary_weight_down,
     esa_sweep,
@@ -140,6 +142,81 @@ def test_sweep_reports_the_values_of_spectrum():
             assert row["smallest_eigenvalues"][str(d)] == [_sig12(v) for v in vals]
             lam = spectrum(down, d, how_many=1, seed=2).eigenvalues[0]
             assert row["sigma_min_boundary_down"][str(d)] == _sig12(math.sqrt(lam * lam + 1.0))
+
+
+def _check_against_dense(cx, rows, how_many, atol=0.0):
+    """Each row holds the how_many smallest eigenvalues of dense ``eigh`` on
+    the symmetrized block: the zeros as 0.0, the rest to 1e-10 relative, or
+    to ``atol``."""
+    for d, got in enumerate(rows):
+        ref = scipy.linalg.eigh(symmetrized_laplacian(cx, d).toarray(), eigvals_only=True,
+                                subset_by_index=[0, min(how_many, cx.size(d)) - 1]) if cx.size(d) else []
+        zeros = int(np.count_nonzero(np.asarray(ref) <= KERNEL_THRESH))
+        assert len(got) == len(ref)
+        assert got[:zeros].tolist() == [0.0] * zeros and np.all(got[zeros:] > 0.0)
+        assert np.all(np.abs(got[zeros:] - ref[zeros:]) <= np.maximum(1e-10 * ref[zeros:], atol))
+
+
+@pytest.mark.parametrize("off,depth,parity", [("n^2", 5, 0), ("2", 9, 0), ("n^2", 5, 1), ("n^4", 4, 0)])
+def test_sweep_spectra_match_dense_eigh(off, depth, parity):
+    """The sweep's route, one solve per scaled coboundary, on a complex and its
+    boundary-down copy; both copies have beta = (1, 0, 0, 0)."""
+    cx = offspring_tree_family(off, depth, parity)
+    for copy in (cx, boundary_weight_down(cx)):
+        rows = _hodge_spectra(copy, 4, seed=0)
+        _check_against_dense(copy, rows, 4)
+        assert [np.count_nonzero(r == 0.0) for r in rows] == list(copy.topology.betti) == [1, 0, 0, 0]
+
+
+def test_a_value_shared_by_two_rows_is_the_same_float():
+    """spec L_0 and spec L_1 share sigma^2_+(W_0): both rows take it from one solve."""
+    for depth in (5, 6):
+        rows = _hodge_spectra(offspring_tree_family("n^2", depth), 4, seed=0)
+        assert rows[0][0] == 0.0 and rows[1][0] == rows[0][1]
+    table = esa_sweep("n^2", [6], seed=1)["rows"][0]["smallest_eigenvalues"]
+    assert table["1"][0] == table["0"][1] == 6.69879392471e-05
+
+
+def test_sweep_assembles_no_degree_one_block(monkeypatch):
+    """The L_1 block of n^2 at depth 5 (1855 rows) is neither assembled nor
+    solved, in the complex or in its boundary-down copy."""
+    degrees, rows = [], []
+    assemble, solve = spectral.symmetrized_laplacian, spectral._solve
+    monkeypatch.setattr(spectral, "symmetrized_laplacian",
+                        lambda cx, degree: degrees.append(degree) or assemble(cx, degree))
+    monkeypatch.setattr(spectral, "_solve", lambda A, *args: rows.append(A.shape[0]) or solve(A, *args))
+    esa_sweep("n^2", [5], how_many=4)
+    assert sorted(degrees) == [0, 0, 2, 2, 3, 3]
+    assert sorted(rows) == [3, 3, 622, 622, 1237, 1237]
+
+
+def test_lifting_raises_c_over_a_small_upper_coboundary(monkeypatch):
+    """Light tetrahedra put c sigma^2_+(W_2) below sigma^2_+(W_1) at c = 1, so
+    the iterative solve of G_1 (622 rows) is refused and repeated with a
+    larger c."""
+    cx = offspring_tree_family("n^2", 5)
+    light = reweighted(cx, cx.weights[:3] + [np.full(cx.size(3), 1e-6)])
+    scales, lifted = [], spectral._lifted_block
+    monkeypatch.setattr(spectral, "_lifted_block", lambda cx, i, c: scales.append((i, c)) or lifted(cx, i, c))
+    rows = _hodge_spectra(light, 4, seed=0)
+    assert scales[:2] == [(2, 1.0), (1, 1.0)] and len(scales) >= 3
+    assert all(i == 1 and c > 1e3 for i, c in scales[2:])
+    # dense eigh of the whole block is accurate to about eps |L_i| ~ 1e-15,
+    # which is 2.5e-10 of the tetrahedra's 4e-6
+    _check_against_dense(light, rows, 4, atol=1e-14)
+
+
+@pytest.mark.parametrize("off,depth,degree", [("n^3", 4, 0), ("n^3", 4, 1), ("4", 4, 2)])
+def test_iterative_route_finds_every_copy_of_a_multiple_eigenvalue(off, depth, degree):
+    """One Lanczos run finds too few copies of the eigenvalues of these
+    blocks that have multiplicity 4 or more; the inertia count asks for the rest."""
+    cx = offspring_tree_family(off, depth)
+    rep = spectrum(cx, degree, how_many=6, method="iterative")
+    ref = np.linalg.eigvalsh(symmetrized_laplacian(cx, degree).toarray())[:6]
+    got = np.repeat(rep.eigenvalues, rep.multiplicities)
+    nonzero = ref > KERNEL_THRESH
+    assert len(got) == 6 and rep.method == "iterative" and rep.converged and max(rep.residuals) <= 1e-8
+    assert np.all(np.abs(got[nonzero] - ref[nonzero]) <= 1e-10 * ref[nonzero])
 
 
 def test_scaled_coboundary_is_the_two_diagonal_products():
