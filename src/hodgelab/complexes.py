@@ -26,6 +26,7 @@ __all__ = [
     "Topology",
     "canonical_sign",
     "build_clique_complex",
+    "clique_tables",
     "weighted_degree",
     "induced_subcomplex",
     "drop_simplices",
@@ -325,26 +326,19 @@ def _locate(top: Topology, degree: int, simplices: Iterable[tuple]) -> np.ndarra
     return top._find(np.array(rows, dtype=np.int64).reshape(-1, width))
 
 
-def build_clique_complex(graph: WeightedGraph, n: int) -> WeightedComplex:
-    """Enumerate all cliques of up to n+1 vertices as the degree <= n simplices.
+def clique_tables(n0: int, edges: np.ndarray, n: int) -> list[np.ndarray]:
+    """Simplex tables of degrees 1..n of the clique complex on the vertex
+    positions 0..n0-1 and the ``(E, 2)`` int64 edge rows u < v, in any order.
 
     Each row is extended by every later neighbour of its last vertex that is
     adjacent to all its vertices (Chiba & Nishizeki, SIAM J. Comput. 1985);
     rows and neighbours come in order, so every table comes out sorted.
-    Degrees 0 and 1 carry the graph's m0 and m1, higher degrees weight 1.
     """
     if n < 1:
         raise ValueError("max degree n must be >= 1")
-    vertices = graph.vertices
-    n0 = len(vertices)
-    position = {v: j for j, v in enumerate(vertices)}
-    ends = np.fromiter(map(position.__getitem__, itertools.chain.from_iterable(graph.m1)),
-                       dtype=np.int64, count=2 * len(graph.m1)).reshape(-1, 2)
-    codes = ends[:, 0] * n0 + ends[:, 1]
+    codes = edges[:, 0] * n0 + edges[:, 1]
     order = np.argsort(codes)
-    edges, codes = ends[order], codes[order]
-    weights = [np.fromiter(map(graph.m0.__getitem__, vertices), dtype=float, count=n0),
-               np.fromiter(graph.m1.values(), dtype=float, count=len(graph.m1))[order]]
+    edges, codes = edges[order], codes[order]
     # the forward neighbours of vertex u are edges[start[u]:start[u+1], 1]
     start = np.searchsorted(edges[:, 0], np.arange(n0 + 1))
     tables = [edges]
@@ -359,7 +353,22 @@ def build_clique_complex(graph: WeightedGraph, n: int) -> WeightedComplex:
             hit = codes.take(np.searchsorted(codes, q), mode="clip") == q
             parent, x = parent[hit], x[hit]
         tables.append(np.column_stack([rows[parent], x]))
-        weights.append(np.ones(len(x)))
+    return tables
+
+
+def build_clique_complex(graph: WeightedGraph, n: int) -> WeightedComplex:
+    """The clique complex of ``graph`` up to degree n, by ``clique_tables`` on
+    its vertex positions: degrees 0 and 1 carry m0 and m1, the others weight 1."""
+    vertices = graph.vertices
+    n0 = len(vertices)
+    position = {v: j for j, v in enumerate(vertices)}
+    ends = np.fromiter(map(position.__getitem__, itertools.chain.from_iterable(graph.m1)),
+                       dtype=np.int64, count=2 * len(graph.m1)).reshape(-1, 2)
+    order = np.argsort(ends[:, 0] * n0 + ends[:, 1])
+    tables = clique_tables(n0, ends[order], n)
+    weights = [np.fromiter(map(graph.m0.__getitem__, vertices), dtype=float, count=n0),
+               np.fromiter(graph.m1.values(), dtype=float, count=len(graph.m1))[order]]
+    weights += [np.ones(len(V)) for V in tables[1:]]
     return WeightedComplex(Topology(vertices, tables), weights)
 
 

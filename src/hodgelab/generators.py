@@ -1,10 +1,13 @@
 """Deterministic constructors for the example complex families.
 
-Every generator returns a WeightedComplex built as the clique complex of an
-explicitly constructed graph (plus, for the perturbed lattice, a top-degree
+Every generator returns a WeightedComplex built as the clique complex of a
+graph whose structure it knows (plus, for the perturbed lattice, a top-degree
 filter), so the core invariants hold by construction.  Vertex ids are
-canonical coordinate/word tuples, hashed to dense indices in sorted order,
-which makes repeated runs bit-identical.
+canonical coordinate/word tuples; a generator computes each vertex's position
+in their sorted order arithmetically (mixed-radix digits for the lattices,
+depth-first preorder for the trees), hands ``clique_tables`` its edges as
+position arrays, and lists the labels once, in table order, so repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .complexes import (
+    Topology,
     WeightedComplex,
-    WeightedGraph,
-    build_clique_complex,
+    clique_tables,
     drop_simplices,
     reweighted,
 )
@@ -35,11 +38,18 @@ __all__ = [
     "estimate_offspring_tree_size",
     "radial_weighting",
     "parse_offspring",
+    "MAX_OFFSPRING_SIMPLICES",
 ]
 
+#: the most simplices ``gen_offspring_tree`` builds; larger trees are refused
+MAX_OFFSPRING_SIMPLICES = 10 ** 7
 
-def _unit_graph(vertices, edges) -> WeightedGraph:
-    return WeightedGraph({v: 1.0 for v in vertices}, {e: 1.0 for e in edges})
+
+def _unit_complex(vertices: list, edges: Iterable[np.ndarray], n: int) -> WeightedComplex:
+    """Clique complex, weight 1 everywhere, of the sorted labels ``vertices``
+    and the ``(E, 2)`` position arrays ``edges``, rows u < v."""
+    tables = clique_tables(len(vertices), np.concatenate([np.zeros((0, 2), np.int64), *edges]), n)
+    return WeightedComplex(Topology(vertices, tables), [np.ones(len(V)) for V in [vertices, *tables]])
 
 
 def gen_lattice(d: int, n: int, radius: int, adjacency: str = "freudenthal") -> WeightedComplex:
@@ -61,16 +71,13 @@ def gen_lattice(d: int, n: int, radius: int, adjacency: str = "freudenthal") -> 
         deltas = [tuple(1 if k == a else 0 for k in range(d)) for a in range(d)]
     else:
         raise ValueError(f"unknown adjacency {adjacency!r}")
-    span = range(-radius, radius + 1)
-    vertices = list(itertools.product(span, repeat=d))
-    box = set(vertices)
-    edges = []
-    for v in vertices:
-        for dl in deltas:
-            w = tuple(a + b for a, b in zip(v, dl))
-            if w in box:
-                edges.append((v, w))
-    cx = build_clique_complex(_unit_graph(vertices, edges), n)
+    side = 2 * radius + 1
+    # sorted order is itertools.product order: x_k + R is digit k of the position in base side
+    digits = np.indices((side,) * d).reshape(d, -1)
+    place = side ** np.arange(d - 1, -1, -1)
+    edges = [np.flatnonzero((digits[dl == 1] < side - 1).all(axis=0))[:, None] + [0, place @ dl]
+             for dl in map(np.array, deltas)]
+    cx = _unit_complex(list(itertools.product(range(-radius, radius + 1), repeat=d)), edges, n)
     cx.meta.update(family="lattice", d=d, radius=radius, adjacency=adjacency)
     return cx
 
@@ -106,19 +113,37 @@ def gen_alternating_triangulation(radius: int) -> WeightedComplex:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    side = 2 * radius + 1
+    # (i, j) sits at (i + R) * side + (j + R), and i + j has the parity of that sum
+    i, j = np.indices((side, side)).reshape(2, -1)
+    steps = [(i < side - 1, side), (j < side - 1, 1),
+             ((i < side - 1) & (j < side - 1) & ((i + j) % 2 == 0), side + 1)]
+    edges = [np.flatnonzero(mask)[:, None] + [0, step] for mask, step in steps]
     span = range(-radius, radius + 1)
-    vertices = [(i, j) for i in span for j in span]
-    box = set(vertices)
-    edges = []
-    for (i, j) in vertices:
-        for w in ((i + 1, j), (i, j + 1)):
-            if w in box:
-                edges.append(((i, j), w))
-        if (i + j) % 2 == 0 and (i + 1, j + 1) in box:
-            edges.append(((i, j), (i + 1, j + 1)))
-    cx = build_clique_complex(_unit_graph(vertices, edges), 2)
+    cx = _unit_complex([(a, b) for a in span for b in span], edges, 2)
     cx.meta.update(family="alternating_triangulation", radius=radius)
     return cx
+
+
+def _tree(ks: list[int], paired: int):
+    """Sorted labels, layer positions, subtree sizes and edges of the tree of
+    child words with ks[l] children per depth-l vertex, children (0, 1), (2, 3),
+    ... joined below depth ``paired``.  Sorted word order is depth-first
+    preorder: child c of depth-l vertex v sits at pos(v) + 1 + c * subtree[l + 1]."""
+    subtree = [1]
+    for k in reversed(ks):
+        subtree.insert(0, 1 + k * subtree[0])
+    layers, edges, words, frontier = [np.zeros(1, np.int64)], [], [()], [()]
+    for l, k in enumerate(ks):
+        children = layers[l][:, None] + 1 + subtree[l + 1] * np.arange(k)
+        edges.append(np.column_stack([np.repeat(layers[l], k), children.ravel()]))
+        if l < paired:
+            edges.append(np.column_stack([children[:, 0:k - 1:2].ravel(), children[:, 1:k:2].ravel()]))
+        layers.append(children.ravel())
+        frontier = [v + (c,) for v in frontier for c in range(k)]
+        words += frontier
+    vertices = list(map(words.__getitem__, np.argsort(np.concatenate(layers)).tolist()))
+    return vertices, layers, subtree, edges
 
 
 def gen_truncated_tree(n_tri: int, depth: int) -> WeightedComplex:
@@ -129,21 +154,30 @@ def gen_truncated_tree(n_tri: int, depth: int) -> WeightedComplex:
     """
     if depth < n_tri + 1:
         raise ValueError("depth must be at least n_tri + 1")
-    vertices = [()]
-    frontier = [()]
-    for _ in range(depth):
-        frontier = [v + (c,) for v in frontier for c in (0, 1)]
-        vertices.extend(frontier)
-    edges = []
-    for v in vertices:
-        if len(v) < depth:
-            edges.append((v, v + (0,)))
-            edges.append((v, v + (1,)))
-            if len(v) <= n_tri:
-                edges.append((v + (0,), v + (1,)))
-    cx = build_clique_complex(_unit_graph(vertices, edges), 2)
+    vertices, _, _, edges = _tree([2] * depth, n_tri + 1)
+    cx = _unit_complex(vertices, edges, 2)
     cx.meta.update(family="truncated_tree", n_tri=n_tri, depth=depth)
     return cx
+
+
+def _offspring_layers(off: Callable[[int], int], depth: int, tet_parity: int):
+    """off(l) for each layer l that has children, down to ``depth`` or the
+    first childless layer; the layers whose vertices carry a tetrahedron; and
+    the simplex count.  The layers, and so the count, stop once the count
+    passes MAX_OFFSPRING_SIMPLICES."""
+    ks, widths, size = [], [1], 1
+    for level in range(depth):
+        if size > MAX_OFFSPRING_SIMPLICES or (k := int(off(level))) == 0:
+            break
+        if k < 0:
+            raise ValueError(f"off({level}) = {k} must be >= 0")
+        # the children with their parent edges, the sibling edges and triangles
+        size += 2 * widths[-1] * (k + k // 2)
+        ks.append(k)
+        widths.append(widths[-1] * k)
+    tets = [l for l in range(len(ks) - 1) if l % 2 == tet_parity % 2 and ks[l] >= 2]
+    # each tetrahedron brings two closure edges and three triangles
+    return ks, tets, size + 6 * sum(widths[l] for l in tets)
 
 
 def gen_offspring_tree(depth: int, off: Callable[[int], int],
@@ -156,46 +190,25 @@ def gen_offspring_tree(depth: int, off: Callable[[int], int],
     edges (v, c0c0) and (c1, c0c0) are present; those closure edges are added
     and reported in ``meta["added_edges"]``.  They join layers two apart, so
     the depth layering of this family fails the strict unit-jump property;
-    see the validation report.
+    see the validation report.  A tree of more than MAX_OFFSPRING_SIMPLICES
+    simplices is refused with a ValueError before anything is built.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    layers: list[list[tuple]] = [[()]]
-    for level in range(depth):
-        k = int(off(level))
-        if k < 0:
-            raise ValueError(f"off({level}) = {k} must be >= 0")
-        nxt = [v + (c,) for v in layers[level] for c in range(k)]
-        if not nxt:
-            break
-        layers.append(nxt)
-    vertices = [v for layer in layers for v in layer]
-    edges = []
-    for layer in layers[:-1]:
-        for v in layer:
-            k = int(off(len(v)))
-            children = [v + (c,) for c in range(k)]
-            edges.extend((v, c) for c in children)
-            for a in range(0, k - 1, 2):
-                edges.append((children[a], children[a + 1]))
-    added = []
-    for layer in layers:
-        for v in layer:
-            if len(v) % 2 != tet_parity % 2:
-                continue
-            if len(v) + 2 > len(layers) - 1:
-                continue
-            if int(off(len(v))) < 2 or int(off(len(v) + 1)) < 1:
-                continue
-            c0, c1, w = v + (0,), v + (1,), v + (0, 0)
-            added.append((v, w))
-            added.append((c1, w))
-    cx = build_clique_complex(_unit_graph(vertices, edges + added), 3)
+    ks, tets, size = _offspring_layers(off, depth, tet_parity)
+    if size > MAX_OFFSPRING_SIMPLICES:
+        raise ValueError(f"the offspring tree of depth {depth} has more than {MAX_OFFSPRING_SIMPLICES} simplices")
+    vertices, layers, subtree, edges = _tree(ks, len(ks))
+    # the closure edges (v, c0c0) and (c1, c0c0) of each tetrahedron, in layer order
+    added = np.concatenate([np.zeros((0, 2), np.int64)] + [
+        np.column_stack([v, v + 2, v + 1 + subtree[l + 1], v + 2]).reshape(-1, 2)
+        for l in tets for v in [layers[l]]])
+    cx = _unit_complex(vertices, edges + [np.sort(added, axis=1)], 3)
     cx.meta.update(
         family="offspring_tree",
         depth=depth,
         tet_parity=tet_parity,
-        added_edges=[[list(u), list(v)] for u, v in added],
+        added_edges=[[list(vertices[u]), list(vertices[v])] for u, v in added.tolist()],
     )
     return cx
 
@@ -272,24 +285,10 @@ def offspring_tree_family(off_spec, depth: int, tet_parity: int = 0) -> Weighted
 
 
 def estimate_offspring_tree_size(off_spec, depth: int, tet_parity: int = 0) -> int:
-    """Total simplex count of offspring_tree_family without building it."""
-    off = _family_offspring(off_spec)
-    widths = [1]
-    for level in range(depth):
-        w = widths[level] * int(off(level))
-        if w == 0:
-            break
-        widths.append(w)
-    verts = sum(widths)
-    pc_edges = sum(widths[1:])
-    sib = sum(widths[l] * (int(off(l)) // 2) for l in range(len(widths) - 1))
-    tets = sum(
-        widths[l]
-        for l in range(len(widths))
-        if l % 2 == tet_parity % 2 and l + 2 <= len(widths) - 1
-        and int(off(l)) >= 2 and int(off(l + 1)) >= 1
-    )
-    return verts + pc_edges + sib + 2 * tets + sib + 3 * tets + tets
+    """Total simplex count of offspring_tree_family without building it.  The
+    count stops once it passes MAX_OFFSPRING_SIMPLICES, so above that cap it
+    is a lower bound that already exceeds it."""
+    return _offspring_layers(_family_offspring(off_spec), depth, tet_parity)[2]
 
 
 def radial_weighting(cx: WeightedComplex, base: Iterable, alpha: float) -> WeightedComplex:

@@ -7,11 +7,13 @@ solves once per scaled coboundary W_i = M_{i+1}^{1/2} d_i M_i^{-1/2}
 instead: spec L_i = {0}^{beta_i} u sigma^2_+(W_{i-1}) u sigma^2_+(W_i)
 (Horak & Jost, Adv. Math. 2013), so each W_i serves two rows, the zeros are
 counted by the Betti numbers of the topology, and the L_1 block is never
-built.  At any finite truncation sigma_min(L +- i) >= 1 analytically, so the
-sweep reports, alongside that sanity bound, a clearly labeled
-boundary-weight-down variant (last-layer weights scaled toward zero) as the
-closest finite proxy for the behaviour the unbounded families are expected to
-show.  Nothing here decides self-adjointness; the outputs are diagnostics.
+built.  A values-only solve takes a direct sum one component at a time (L_2
+and L_3 of the offspring trees split into blocks of a few rows).  At any
+finite truncation sigma_min(L +- i) >= 1 analytically, so the sweep reports,
+alongside that sanity bound, a clearly labeled boundary-weight-down variant
+(last-layer weights scaled toward zero) as the closest finite proxy for the
+behaviour the unbounded families are expected to show.  Nothing here decides
+self-adjointness; the outputs are diagnostics.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .complexes import WeightedComplex, reweighted
 from .divergence import divergence_partial_sums
@@ -46,6 +49,7 @@ __all__ = [
 # or 341 rows (how_many=4); in between the two ran close
 DENSE_CUTOVER = 200
 ITERATION_BUDGET = 10_000
+STACK_ENTRIES = 1 << 20  # the most matrix entries in one batched eigvalsh stack
 SHIFT = -1e-3  # shift-invert below the spectrum, so that A - SHIFT is definite
 KERNEL_THRESH = 1e-8
 
@@ -121,8 +125,51 @@ def _spectrum(cx, degree, how_many, method, seed, vectors) -> SpectrumReport:
 
 def _solve(A, skip: int, count: int, method: str, seed: int, vectors: bool, kernel=None):
     """Eigenvalues skip .. skip+count-1 of the symmetric PSD matrix ``A``,
-    ascending, by dense ``eigh`` below the cutover and shift-invert ``eigsh``
-    above it.  Returns (values, vectors or None, method, converged, message).
+    ascending, as (values, vectors or None, method, converged, message); a
+    direct sum above the cutover, when no vectors or kernel basis are given,
+    one component at a time."""
+    if method == "auto" and not vectors and kernel is None and A.shape[0] > DENSE_CUTOVER:
+        ncomp, labels = connected_components(A, directed=False)
+        if ncomp > 1:
+            return _solve_components(A, labels, skip, count, seed)
+    return _solve_block(A, skip, count, method, seed, vectors, kernel)
+
+
+def _solve_components(A, labels: np.ndarray, skip: int, count: int, seed: int):
+    """``_solve`` on a direct sum: the lowest skip + count eigenvalues of every
+    component ``labels`` of ``A``, merged with every copy counted, hold the
+    lowest of ``A``.  Components of equal size up to the cutover are solved
+    together by batched ``eigvalsh`` on stacks of at most STACK_ENTRIES
+    entries; a larger one takes ``_solve_block`` on its rows.  The method
+    reads "components"."""
+    want, sizes = skip + count, np.bincount(labels)
+    rows = np.lexsort((labels, sizes[labels]))  # component by component, smallest first
+    B = A.tocsr()[rows][:, rows]  # block diagonal
+    sizes = np.sort(sizes)
+    vals, converged, message = [], True, ""
+    lo = start = 0
+    while lo < len(sizes):
+        size = int(sizes[lo])
+        if size > DENSE_CUTOVER:
+            hi = lo + 1
+            out = _solve_block(B[start:start + size, start:start + size], 0, min(want, size), "auto", seed, False)
+            vals.append(out[0])
+            converged, message = converged and out[3], message or out[4]
+        else:
+            hi = min(int(np.searchsorted(sizes, size, side="right")), lo + max(1, STACK_ENTRIES // size ** 2))
+            end = start + (hi - lo) * size
+            block = B[start:end, start:end].tocoo()
+            stack = np.zeros((hi - lo, size, size))
+            stack[block.row // size, block.row % size, block.col % size] = block.data
+            vals.append(np.linalg.eigvalsh(stack).ravel())
+        start += (hi - lo) * size
+        lo = hi
+    return np.sort(np.concatenate(vals))[skip:want], None, "components", converged, message
+
+
+def _solve_block(A, skip: int, count: int, method: str, seed: int, vectors: bool, kernel=None):
+    """``_solve`` on one block: dense ``eigh`` below the cutover and
+    shift-invert ``eigsh`` above it.
 
     ``kernel``, an orthonormal basis of the lowest ``skip`` eigenvectors, is
     projected out before and after each LU solve; without it the iterative

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from hodgelab import generators
 from hodgelab.generators import (
+    MAX_OFFSPRING_SIMPLICES,
     estimate_offspring_tree_size,
     offspring_tree_family,
     gen_alternating_triangulation,
@@ -16,7 +18,7 @@ from hodgelab.generators import (
     radial_weighting,
 )
 
-from oracles import clique_counts, verify_clique_soundness, verify_face_closure
+from oracles import clique_counts, clique_tables, verify_clique_soundness, verify_face_closure
 
 
 def test_line_lattice():
@@ -111,9 +113,98 @@ def test_offspring_tree_added_edges_flagged():
 
 
 def test_offspring_tree_size_estimate_exact():
-    for off, depth in (("2", 4), ("2", 6), ("n^2", 4), ("n^2", 5)):
-        cx = offspring_tree_family(off, depth)
-        assert estimate_offspring_tree_size(off, depth) == cx.num_simplices()
+    cases = (("2", 4), ("2", 6), ("n^2", 4), ("n^2", 5), ("n^3", 4), ("n^3", 5), ("2", 10),
+             ("3-n", 6))  # the layers of 3-n run out below depth 3
+    for off, depth in cases:
+        for parity in (0, 1):
+            cx = offspring_tree_family(off, depth, parity)
+            assert estimate_offspring_tree_size(off, depth, parity) == cx.num_simplices()
+
+
+def test_offspring_trees_above_the_simplex_cap_are_refused_before_building(monkeypatch):
+    """n^8 at depth 5 would have 6.6e11 simplices; the refusal comes from the
+    layer widths, so nothing is allocated for the tree."""
+    monkeypatch.setattr(generators, "_tree", lambda *args: pytest.fail("the tree was built"))
+    with pytest.raises(ValueError, match=f"more than {MAX_OFFSPRING_SIMPLICES} simplices"):
+        offspring_tree_family("n^8", 5)
+    with pytest.raises(ValueError, match="more than"):
+        gen_offspring_tree(40, lambda n: 2)
+
+
+def test_offspring_size_estimate_stops_past_the_cap():
+    assert estimate_offspring_tree_size("n^2", 7) == 3_199_797 <= MAX_OFFSPRING_SIMPLICES
+    assert estimate_offspring_tree_size("2", 20) <= MAX_OFFSPRING_SIMPLICES
+    # summed to the end, n^8 at depth 40 would count more than 10^300 simplices
+    assert MAX_OFFSPRING_SIMPLICES < estimate_offspring_tree_size("n^8", 40) < 10 ** 20
+
+
+def _words(ks):
+    """Every child word of the tree with ks[l] children per depth-l vertex."""
+    layers = [[()]]
+    for k in ks:
+        layers.append([v + (c,) for v in layers[-1] for c in range(k)])
+    return [v for layer in layers for v in layer]
+
+
+def _assert_unit_clique_complex(cx, vertices, edges, n):
+    """``cx`` is, bit for bit, the unit-weight clique complex of the label
+    graph (vertices, edges), up to degree n."""
+    tables = clique_tables(vertices, edges, n)
+    assert cx.topology.vertices == sorted(vertices)
+    assert cx.simplices == tables
+    for w, table in zip(cx.weights, tables):
+        assert w.dtype == np.float64 and np.array_equal(w, np.ones(len(table)))
+
+
+@pytest.mark.parametrize("off,depth", [("2", 4), ("n^2", 3), ("n^3", 3)])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_offspring_tree_equals_the_clique_oracle(off, depth, parity):
+    fn = parse_offspring(off)
+    ks = [2 if l == 0 and fn(0) == 0 else fn(l) for l in range(depth)]
+    vertices = _words(ks)
+    edges, added = [], []
+    for v in vertices:
+        if len(v) == depth:
+            continue
+        k = ks[len(v)]
+        edges += [(v, v + (c,)) for c in range(k)]
+        edges += [(v + (c,), v + (c + 1,)) for c in range(0, k - 1, 2)]
+        if len(v) % 2 == parity and len(v) + 2 <= depth and k >= 2:
+            added += [[list(v), [*v, 0, 0]], [[*v, 1], [*v, 0, 0]]]
+    cx = offspring_tree_family(off, depth, parity)
+    _assert_unit_clique_complex(cx, vertices, edges + [tuple(map(tuple, e)) for e in added], 3)
+    assert cx.meta["added_edges"] == added
+
+
+@pytest.mark.parametrize("d,n,radius,adjacency", [
+    (1, 1, 3, "freudenthal"), (1, 1, 3, "nearest"), (2, 2, 2, "freudenthal"),
+    (2, 1, 2, "nearest"), (3, 3, 1, "freudenthal"), (3, 1, 1, "nearest"),
+])
+def test_lattice_equals_the_clique_oracle(d, n, radius, adjacency):
+    vertices = list(itertools.product(range(-radius, radius + 1), repeat=d))
+    if adjacency == "freudenthal":
+        steps = [s for s in itertools.product((0, 1), repeat=d) if any(s)]
+    else:
+        steps = [tuple(int(k == a) for k in range(d)) for a in range(d)]
+    box = set(vertices)
+    edges = [(v, w) for v in vertices for s in steps
+             for w in [tuple(a + b for a, b in zip(v, s))] if w in box]
+    _assert_unit_clique_complex(gen_lattice(d, n, radius, adjacency), vertices, edges, n)
+
+
+def test_alternating_triangulation_equals_the_clique_oracle():
+    vertices = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+    edges = [((i, j), w) for i, j in vertices
+             for w in [(i + 1, j), (i, j + 1)] + ([(i + 1, j + 1)] if (i + j) % 2 == 0 else [])
+             if w in vertices]
+    _assert_unit_clique_complex(gen_alternating_triangulation(2), vertices, edges, 2)
+
+
+def test_truncated_tree_equals_the_clique_oracle():
+    vertices = _words([2, 2, 2, 2])
+    edges = [e for v in vertices if len(v) < 4
+             for e in [(v, v + (0,)), (v, v + (1,))] + ([(v + (0,), v + (1,))] if len(v) <= 1 else [])]
+    _assert_unit_clique_complex(gen_truncated_tree(1, 4), vertices, edges, 2)
 
 
 def test_generators_deterministic():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 
 from hodgelab import build_clique_complex, drop_simplices, spectral
@@ -217,6 +218,64 @@ def test_iterative_route_finds_every_copy_of_a_multiple_eigenvalue(off, depth, d
     nonzero = ref > KERNEL_THRESH
     assert len(got) == 6 and rep.method == "iterative" and rep.converged and max(rep.residuals) <= 1e-8
     assert np.all(np.abs(got[nonzero] - ref[nonzero]) <= 1e-10 * ref[nonzero])
+
+
+def _shuffled_direct_sum(blocks, seed=0):
+    """The direct sum of ``blocks``, rows shuffled so that no component's rows
+    are contiguous."""
+    A = sp.block_diag(blocks, format="csr")
+    perm = np.random.default_rng(seed).permutation(A.shape[0])
+    return A[perm][:, perm].tocsr()
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The shape of every stack that a batched eigvalsh solves."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    return shapes
+
+
+def test_component_route_on_a_direct_sum_block(monkeypatch, stacks):
+    """L_2 of the binary tree at depth 10 has 2046 rows in 1364 components,
+    each below the cutover: one stack per component size, no block solve."""
+    A = symmetrized_laplacian(offspring_tree_family("2", 10), 2)
+    assert A.shape[0] == 2046 and connected_components(A, directed=False)[0] == 1364
+    ref = scipy.linalg.eigh(A.toarray(), eigvals_only=True)
+    monkeypatch.setattr(spectral, "_solve_block", lambda *args: pytest.fail("a block solve ran"))
+    for skip, count in ((0, 6), (5, 4), (300, 40)):
+        vals, vecs, method, converged, _ = spectral._solve(A, skip, count, "auto", 1, False)
+        assert method == "components" and converged and vecs is None
+        np.testing.assert_allclose(vals, ref[skip:skip + count], rtol=1e-10, atol=1e-12)
+    assert stacks and all(n * k * k <= spectral.STACK_ENTRIES for n, k, _ in stacks)
+
+
+def test_component_route_solves_a_large_component_by_the_block_route(monkeypatch, stacks):
+    """A 300-row path block among 150 small dense ones: the path alone goes
+    to ``_solve_block``."""
+    rng = np.random.default_rng(3)
+    path = sp.diags([-np.ones(299), 2.5 + rng.random(300), -np.ones(299)], [-1, 0, 1])
+    small = [M @ M.T + 0.5 * np.eye(len(M)) for M in (rng.random((k, k)) for k in rng.integers(1, 6, size=150))]
+    A = _shuffled_direct_sum([path] + small)
+    ref = scipy.linalg.eigh(A.toarray(), eigvals_only=True)
+    blocks, solve_block = [], spectral._solve_block
+    monkeypatch.setattr(spectral, "_solve_block", lambda B, *args: blocks.append(B.shape[0]) or solve_block(B, *args))
+    vals, _, method, converged, _ = spectral._solve(A, 3, 8, "auto", 0, False)
+    assert blocks == [300] and method == "components" and converged
+    np.testing.assert_allclose(vals, ref[3:11], rtol=1e-10)
+    assert sum(n * k for n, k, _ in stacks) == A.shape[0] - 300
+
+
+def test_component_route_counts_every_copy_of_a_value(monkeypatch, stacks):
+    """2.0 is an eigenvalue of 180 components and 4.0 of 100; the window
+    170..209 holds 10 copies of the one and 30 of the other.  Stacks of at
+    most 40 entries take 40 one-row or 10 two-row components each."""
+    monkeypatch.setattr(spectral, "STACK_ENTRIES", 40)
+    pair = sp.csr_matrix([[3.0, 1.0], [1.0, 3.0]])  # eigenvalues 2 and 4
+    A = _shuffled_direct_sum([sp.csr_matrix([[2.0]])] * 120 + [pair] * 60 + [sp.csr_matrix([[4.0]])] * 40)
+    vals = spectral._solve(A, 170, 40, "auto", 0, False)[0]
+    np.testing.assert_allclose(vals, [2.0] * 10 + [4.0] * 30, rtol=1e-10)
+    assert sorted(stacks) == [(10, 2, 2)] * 6 + [(40, 1, 1)] * 4
 
 
 def test_scaled_coboundary_is_the_two_diagonal_products():
