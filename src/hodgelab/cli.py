@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import re
 import sys
+
+import numpy as np
 
 from . import __version__
 from . import chi as chi_mod
@@ -49,13 +53,46 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# per byte: 1 for an opener, -1 for a closer, 2 for a comma, colon or quote; _STEP, the depth change
+_KIND = np.zeros(256, np.int8)
+_KIND[list(b"[{")], _KIND[list(b"]}")], _KIND[list(b',:"')] = 1, -1, 2
+_STEP = np.where(_KIND == 2, 0, _KIND)
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` from the C encoder's compact text: outside
+    strings, a newline and two spaces per depth go after each non-empty opener and each comma
+    and before each non-empty closer, and a space after each colon."""
+    data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+    text = np.frombuffer(data, np.uint8)
+    pos = np.flatnonzero(_KIND[text])
+    quote = text[pos] == ord('"')
+    if b"\\" in data:  # the text is ASCII, and the byte after a backslash is escaped
+        quote[np.isin(pos, [m.end() - 1 for m in re.finditer(rb"\\.", data)])] = False
+    pos = pos[~(np.logical_xor.accumulate(quote) | quote)]
+    char, step = text[pos], _STEP[text[pos]]
+    width = np.where(char == ord(":"), 1, 1 + 2 * np.cumsum(step, dtype=np.int32))
+    empty = (step[:-1] > 0) & (step[1:] < 0) & (np.diff(pos) == 1)
+    width[:-1][empty] = width[1:][empty] = 0
+    some = width > 0
+    # each inserted run starts after its byte, or before it for a closer
+    start = (pos + np.cumsum(width) - width + (step >= 0))[some]
+    inserted = np.zeros(len(data) + int(width.sum()), bool)
+    inserted[start] = inserted[start + width[some]] = True
+    np.logical_xor.accumulate(inserted, out=inserted)
+    out = np.full(len(inserted), ord(" "), np.uint8)
+    out[np.logical_not(inserted, out=inserted)] = text
+    out[start[char[some] != ord(":")]] = ord("\n")
+    return str(out, "ascii")
+
+
 def _emit(args, result: dict) -> None:
     report = {
         "version": __version__,
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+        "config": {k: v for k, v in sorted(vars(args).items()) if v is not None},
         "result": result,
     }
-    _write(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(args, _dumps(report) + "\n")
 
 
 def _csv_cell(x) -> str:
@@ -84,7 +121,7 @@ def cmd_generate(args) -> int:
     if args.radial_alpha is not None:
         base = {cx.topology.vertices[0]} if kind in ("tree", "offspring-tree") else {(0,) * args.d}
         cx = gen.radial_weighting(cx, base, args.radial_alpha)
-    _write(args, json.dumps(complex_to_json(cx), sort_keys=True, indent=2) + "\n")
+    _write(args, _dumps(complex_to_json(cx)) + "\n")
     counts = cx.counts()
     print("counts: " + " ".join(f"|P_{i}|={c}" for i, c in enumerate(counts)), file=sys.stderr)
     return 0
@@ -273,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--off", default="2")
     g.add_argument("--tet-parity", dest="tet_parity", type=int, default=0)
     g.add_argument("--radial-alpha", dest="radial_alpha", type=float)
-    g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("assemble", help="assemble one operator block")
     common(a)
@@ -281,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--kind", default="laplacian_block",
                    choices=("coboundary", "codifferential", "laplacian_block", "gauss_bonnet"))
     a.add_argument("--degree", type=int, default=0)
-    a.set_defaults(func=cmd_assemble)
 
     c = sub.add_parser("chi", help="completeness energy profile")
     common(c)
@@ -294,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ramp-width", dest="ramp_width", type=float, default=1.0)
     c.add_argument("--horizon", type=int, default=1000)
     c.add_argument("--roots", help="JSON list of root vertices")
-    c.set_defaults(func=cmd_chi)
 
     dv = sub.add_parser("divergence", help="growth function and partial sums")
     common(dv)
@@ -305,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     dv.add_argument("--cutoff-n", dest="cutoff_n", type=int)
     dv.add_argument("--horizon", type=int, default=1000)
     dv.add_argument("--roots")
-    dv.set_defaults(func=cmd_divergence)
 
     s = sub.add_parser("spectrum", help="smallest eigenvalues of one block")
     common(s)
@@ -314,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--how-many", dest="how_many", type=int, default=6)
     s.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     spectral_common(s)
-    s.set_defaults(func=cmd_spectrum)
 
     h = sub.add_parser("hodge", help="orthogonal splitting at one degree")
     common(h)
@@ -323,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--export-basis", dest="export_basis")
     h.add_argument("--kernel-thresh", dest="kernel_thresh", type=float,
                    default=spectral.KERNEL_THRESH)
-    h.set_defaults(func=cmd_hodge)
 
     w = sub.add_parser("sweep", help="depth-indexed spectral sweep of a growth family")
     common(w)
@@ -333,17 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--tet-parity", dest="tet_parity", type=int, default=0)
     w.add_argument("--how-many", dest="how_many", type=int, default=4)
     spectral_common(w)
-    w.set_defaults(func=cmd_sweep)
 
     return p
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, KeyError, OSError) as err:
+        # looked up on each call, not kept in the parser, so that a cmd_* function
+        # replaced on this module takes effect
+        return globals()[f"cmd_{args.command}"](args)
+    except (ValueError, KeyError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -64,6 +64,8 @@ def _positive_weight(w, what: str, *args) -> float:
         w = float(w)
     except TypeError:
         raise ValueError(f"{what.format(*args)} = {w!r:.40} is not a number") from None
+    except OverflowError:  # an integer beyond the float range
+        w = math.inf
     if not 0 < w < math.inf:
         raise ValueError(f"{what.format(*args)} = {w} must be finite and positive")
     return w
@@ -359,15 +361,27 @@ def clique_tables(n0: int, edges: np.ndarray, n: int) -> list[np.ndarray]:
 def build_clique_complex(graph: WeightedGraph, n: int) -> WeightedComplex:
     """The clique complex of ``graph`` up to degree n, by ``clique_tables`` on
     its vertex positions: degrees 0 and 1 carry m0 and m1, the others weight 1."""
-    vertices = graph.vertices
-    n0 = len(vertices)
+    return _clique_complex(graph.vertices, graph.m0, _edge_rows(graph.vertices, graph.m1), graph.m1.values(), n)
+
+
+def _edge_rows(vertices: list, edges: Iterable[tuple]) -> np.ndarray | None:
+    """``(E, 2)`` int64 positions in the sorted ``vertices`` of the pairs ``edges``, smaller
+    first; None when a pair is a loop, names no vertex, or repeats another in either order."""
     position = {v: j for j, v in enumerate(vertices)}
-    ends = np.fromiter(map(position.__getitem__, itertools.chain.from_iterable(graph.m1)),
-                       dtype=np.int64, count=2 * len(graph.m1)).reshape(-1, 2)
+    ends = np.sort(np.fromiter(map(position.get, itertools.chain.from_iterable(edges), itertools.repeat(-1)),
+                               dtype=np.int64).reshape(-1, 2), axis=1)
+    codes = ends[:, 0] * len(vertices) + ends[:, 1]
+    ok = (ends[:, 0] >= 0).all() and (ends[:, 0] < ends[:, 1]).all() and len(np.unique(codes)) == len(codes)
+    return ends if ok else None
+
+
+def _clique_complex(vertices: list, m0: Mapping, ends: np.ndarray, m1: Iterable[float], n: int) -> WeightedComplex:
+    """``build_clique_complex`` on the rows ``ends`` of ``_edge_rows``, m1 given per row."""
+    n0 = len(vertices)
     order = np.argsort(ends[:, 0] * n0 + ends[:, 1])
     tables = clique_tables(n0, ends[order], n)
-    weights = [np.fromiter(map(graph.m0.__getitem__, vertices), dtype=float, count=n0),
-               np.fromiter(graph.m1.values(), dtype=float, count=len(graph.m1))[order]]
+    weights = [np.fromiter(map(m0.__getitem__, vertices), dtype=float, count=n0),
+               np.fromiter(m1, dtype=float, count=len(ends))[order]]
     weights += [np.ones(len(V)) for V in tables[1:]]
     return WeightedComplex(Topology(vertices, tables), weights)
 
@@ -459,6 +473,17 @@ def _decode_vertex(v):
     return tuple(_decode_vertex(x) for x in v) if isinstance(v, list) else v
 
 
+def _decode_ids(ids: list) -> list:
+    """``_decode_vertex`` of each of ``ids``, flat lists in one pass; a nested
+    list, which that pass leaves unhashable, sends every id through it."""
+    flat = [tuple(v) if type(v) is list else v for v in ids]
+    try:
+        hash(tuple(flat))
+        return flat
+    except TypeError:
+        return list(map(_decode_vertex, ids))
+
+
 def complex_to_json(cx: WeightedComplex) -> dict:
     """Complex description document (vertices/edges/max_degree/weights)."""
     doc = {
@@ -507,6 +532,26 @@ def _listed_once(weights: dict, key, w: float, what: str) -> None:
         raise ValueError(f"{what} listed twice with different weights")
 
 
+def _listed(items: list, what: str, keys: Callable[[list], list], field: str, name: str,
+            entry: str, *args) -> dict:
+    """``{key: float(item[field])}`` over the description entries ``items`` and their
+    ``keys(items)``, decoded in bulk.  When that fails or an entry repeats, an
+    entry-by-entry pass refuses the first bad entry by ``_shaped`` (``what``),
+    ``_positive_weight`` or ``_listed_once`` (``name`` and ``entry``, given the key and ``args``)."""
+    try:
+        weights = list(map(float, [item[field] for item in items]))
+        listed = dict(zip(keys(items), weights))
+        if len(listed) == len(items) and all(0 < w < math.inf for w in weights):
+            return listed
+    except (TypeError, KeyError, ValueError, OverflowError):
+        pass
+    listed = {}
+    for item in items:
+        (k,) = keys([_shaped(item, dict, what)])
+        _listed_once(listed, k, _positive_weight(item[field], name, k, *args), entry.format(k, *args))
+    return listed
+
+
 def complex_from_json(doc: dict) -> WeightedComplex:
     """Rebuild a complex from its description document.
 
@@ -518,14 +563,21 @@ def complex_from_json(doc: dict) -> WeightedComplex:
     names its key.
     """
     _shaped(doc, dict, "document")
-    m0, m1 = {}, {}
-    for item in _shaped(doc["vertices"], list, "'vertices'"):
-        v = _decode_vertex(_shaped(item, dict, "'vertices' entry")["id"])
-        _listed_once(m0, v, _positive_weight(item["m0"], "m0({!r})", v), f"vertex {v!r}")
-    for item in _shaped(doc["edges"], list, "'edges'"):
-        u, v = _decode_vertex(_shaped(item, dict, "'edges' entry")["u"]), _decode_vertex(item["v"])
-        _listed_once(m1, (u, v), _positive_weight(item["m1"], "m1({!r},{!r})", u, v), f"edge ({u!r},{v!r})")
-    graph = WeightedGraph(m0, m1)
+    m0 = _listed(_shaped(doc["vertices"], list, "'vertices'"), "'vertices' entry",
+                 lambda items: _decode_ids([item["id"] for item in items]), "m0", "m0({!r})", "vertex {!r}")
+    m1 = _listed(_shaped(doc["edges"], list, "'edges'"), "'edges' entry",
+                 lambda items: list(zip(_decode_ids([item["u"] for item in items]),
+                                        _decode_ids([item["v"] for item in items]))), "m1",
+                 "m1({0[0]!r},{0[1]!r})", "edge ({0[0]!r},{0[1]!r})")
+    try:
+        vertices = sorted(m0)
+        ends = _edge_rows(vertices, m1)
+    except TypeError:
+        ends = None
+    if ends is None:  # WeightedGraph refuses mixed ids or the first bad edge, or merges one listed both ways
+        graph = WeightedGraph(m0, m1)
+        vertices, m0, m1 = graph.vertices, graph.m0, graph.m1
+        ends = _edge_rows(vertices, m1)
     n = _shaped(doc["max_degree"], int, "'max_degree'")
     rule = doc.get("weight_rule")
     if rule is not None:
@@ -545,14 +597,13 @@ def complex_from_json(doc: dict) -> WeightedComplex:
             raise ValueError(f"weights of degree {k} outside 0..{n}")
         if int(k) in explicit:
             raise ValueError(f"weights key {k!r} names degree {int(k)} again")
-        explicit[int(k)] = listed = {}
-        for item in _shaped(lst, list, f"'weights' of degree {k}"):
-            item = _shaped(item, dict, f"degree-{k} 'weights' entry")
-            s = tuple(map(_decode_vertex, _shaped(item["simplex"], list, f"degree-{k} 'simplex'")))
-            _listed_once(listed, s, _positive_weight(item["m"], "degree-{} weight m{!r}", k, s),
-                         f"degree-{k} simplex {s!r}")
+        simplex = f"degree-{k} 'simplex'"
+        explicit[int(k)] = _listed(
+            _shaped(lst, list, f"'weights' of degree {k}"), f"degree-{k} 'weights' entry",
+            lambda items: [tuple(_decode_ids(_shaped(item["simplex"], list, simplex))) for item in items], "m",
+            "degree-{1} weight m{0!r}", "degree-{1} simplex {0!r}", k)
 
-    cx = build_clique_complex(graph, n)
+    cx = _clique_complex(vertices, m0, ends, m1.values(), n)
     if rule is not None:
         from .generators import radial_weighting  # deferred; generators imports this module
 

@@ -41,8 +41,18 @@ __all__ = [
     "MAX_OFFSPRING_SIMPLICES",
 ]
 
-#: the most simplices ``gen_offspring_tree`` builds; larger trees are refused
+#: the most simplices a generator builds; larger complexes are refused
 MAX_OFFSPRING_SIMPLICES = 10 ** 7
+# 2 ** _BITS passes the cap, so a power side ** min(d, _BITS), side >= 2, passes it when side ** d does
+_BITS = MAX_OFFSPRING_SIMPLICES.bit_length()
+
+
+def _refuse_above_cap(what: str, vertices: int, directions: int, n: int) -> None:
+    """Refuse a clique complex up to degree n on ``vertices`` vertices, each the lowest of at most
+    ``directions`` edges and so of at most C(directions, i) i-simplices, when that bound passes the cap."""
+    if vertices > MAX_OFFSPRING_SIMPLICES or MAX_OFFSPRING_SIMPLICES < vertices * sum(
+            math.comb(directions, i) for i in range(min(n, directions) + 1)):
+        raise ValueError(f"the {what} may have more than {MAX_OFFSPRING_SIMPLICES} simplices")
 
 
 def _unit_complex(vertices: list, edges: Iterable[np.ndarray], n: int) -> WeightedComplex:
@@ -65,13 +75,16 @@ def gen_lattice(d: int, n: int, radius: int, adjacency: str = "freudenthal") -> 
         raise ValueError("n must be >= 1")
     if adjacency == "freudenthal" and d < n:
         raise ValueError("freudenthal lattice needs d >= n")
-    if adjacency == "freudenthal":
-        deltas = [dl for dl in itertools.product((0, 1), repeat=d) if any(dl)]
-    elif adjacency == "nearest":
-        deltas = [tuple(1 if k == a else 0 for k in range(d)) for a in range(d)]
-    else:
+    if adjacency not in ("freudenthal", "nearest"):
         raise ValueError(f"unknown adjacency {adjacency!r}")
     side = 2 * radius + 1
+    # the edge directions are the nonzero 0/1 vectors, or the unit vectors
+    _refuse_above_cap(f"lattice of radius {radius} in dimension {d}", side ** min(d, _BITS),
+                      2 ** min(d, _BITS) - 1 if adjacency == "freudenthal" else d, n)
+    if adjacency == "freudenthal":
+        deltas = [dl for dl in itertools.product((0, 1), repeat=d) if any(dl)]
+    else:
+        deltas = [tuple(1 if k == a else 0 for k in range(d)) for a in range(d)]
     # sorted order is itertools.product order: x_k + R is digit k of the position in base side
     digits = np.indices((side,) * d).reshape(d, -1)
     place = side ** np.arange(d - 1, -1, -1)
@@ -114,6 +127,8 @@ def gen_alternating_triangulation(radius: int) -> WeightedComplex:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     side = 2 * radius + 1
+    # each vertex is the lowest of its right, upper and diagonal edges
+    _refuse_above_cap(f"alternating triangulation of radius {radius}", side ** 2, 3, 2)
     # (i, j) sits at (i + R) * side + (j + R), and i + j has the parity of that sum
     i, j = np.indices((side, side)).reshape(2, -1)
     steps = [(i < side - 1, side), (j < side - 1, 1),
@@ -154,6 +169,8 @@ def gen_truncated_tree(n_tri: int, depth: int) -> WeightedComplex:
     """
     if depth < n_tri + 1:
         raise ValueError("depth must be at least n_tri + 1")
+    # each vertex is the lowest of its two child edges and, as a first child, its sibling edge
+    _refuse_above_cap(f"truncated tree of depth {depth}", 2 ** min(depth + 1, _BITS) - 1, 3, 2)
     vertices, _, _, edges = _tree([2] * depth, n_tri + 1)
     cx = _unit_complex(vertices, edges, 2)
     cx.meta.update(family="truncated_tree", n_tri=n_tri, depth=depth)

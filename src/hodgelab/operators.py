@@ -8,6 +8,7 @@ which makes every Laplacian block positive semidefinite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +246,10 @@ def adjointness_check(cx: WeightedComplex, degree: int, trials: int = 100, seed:
     return worst
 
 
+#: triplets per formatted chunk of ``export_coordinate_text``
+EXPORT_CHUNK = 1 << 14
+
+
 def export_coordinate_text(matrix: sp.spmatrix, target) -> None:
     """Write 1-based (row, col, value) triplets with a shape header.
 
@@ -252,12 +257,13 @@ def export_coordinate_text(matrix: sp.spmatrix, target) -> None:
     """
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = (coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(), coo.data[order].tolist()
+    rows, cols, vals = coo.row[order] + 1, coo.col[order] + 1, coo.data[order]
 
     def emit(fh):
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(rows, cols, vals):
-            fh.write(f"{r} {c} {v:.17g}\n")
+        for a in range(0, len(order), EXPORT_CHUNK):
+            chunk = [x[a:a + EXPORT_CHUNK].tolist() for x in (rows, cols, vals)]
+            fh.write("%d %d %.17g\n" * len(chunk[0]) % tuple(itertools.chain.from_iterable(zip(*chunk))))
 
     if hasattr(target, "write"):
         emit(target)

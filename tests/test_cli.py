@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from hodgelab import cli
 from hodgelab.cli import main
-from hodgelab.complexes import complex_from_json
+from hodgelab.complexes import complex_from_json, complex_to_json
+from hodgelab.generators import gen_lattice
 
 from conftest import k3_description
 
@@ -545,3 +551,142 @@ def test_kernel_thresh_that_cannot_split_the_ranks_is_refused(tmp_path, capsys, 
                        f"--kernel-thresh={thresh}")
     assert_one_line_error(code, err)
     assert message in err
+
+
+@pytest.mark.parametrize("field,name", [("m0", "m0('a')"), ("m1", "m1('a','b')"),
+                                        ("m", "degree-2 weight m('a', 'b', 'c')")])
+def test_weights_beyond_the_float_range_are_refused(tmp_path, capsys, field, name):
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(k3_description(**{field: 10 ** 400})))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert err.strip() == f"error: {name} = inf must be finite and positive"
+
+
+@pytest.mark.parametrize("weight,message", [(1.0, None), (2.0, "asymmetric weight for edge ('a', 'b')")])
+def test_an_edge_listed_both_ways_loads_once_or_is_refused(tmp_path, capsys, weight, message):
+    doc = k3_description()
+    doc["edges"].append({"u": "b", "v": "a", "m1": weight})
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    if message is None:
+        assert code == 0 and complex_from_json(doc).counts() == (3, 3, 1)
+    else:
+        assert_one_line_error(code, err)
+        assert err.strip() == f"error: {message}"
+
+
+# strings that stress the emitter: quotes, backslash runs, the structural
+# bytes, non-ASCII and control characters
+_TRICKY_TEXT = st.text(st.one_of(st.sampled_from(list('"\\[]{},: ')), st.characters()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 30, 10 ** 30)
+    | st.floats(allow_nan=True, allow_infinity=True) | _TRICKY_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TRICKY_TEXT, children, max_size=4),
+    max_leaves=25)
+
+
+@given(_JSON_VALUES)
+@example("\\\\\"")
+@example({"a": [], "b": {}, "c": [[], [{}]], "": {"\\": "\\\\"}})
+@example(7)
+def test_the_emitter_is_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_the_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, capsys):
+    cx_path = tmp_path / "cx.json"
+    run(capsys, "generate", "--kind", "lattice", "--radius", "1", "--output", str(cx_path))
+    code, _, _ = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0", "--format", "csv")
+    assert code == 0
+    code, out, _ = run(capsys, "hodge", "--input", str(cx_path), "--degree", "0")
+    assert code == 0
+    assert sorted(json.loads(out)["config"]) == ["command", "degree", "input", "kernel_thresh"]
+    assert cli._parser() is cli._parser()
+
+
+_BASE = json.loads(json.dumps(complex_to_json(gen_lattice(2, 2, 1))))
+_BAD_VALUES = [None, True, False, 0, -1, 2, 2.5, -0.0, 0.0, float("inf"), float("nan"), 10 ** 400,
+               "a", "1.5", "", [], {}, [0], [[0, 0]], [0, [1]], {"x": 1}, [0, 0], [1, 0], [0, 0, 0]]
+_RULES_AND_WEIGHTS = [{"kind": "radial", "base": [[0, 0]], "alpha": 2.0},
+                      {"kind": "radial", "base": [[5, 5]], "alpha": 1.0},
+                      {"kind": "radial", "base": [], "alpha": 1.0}, {"2": []}, {"1": []}, {"3": []}]
+# a max_degree in the millions builds one empty table per degree, for
+# minutes: that size is not bounded yet, so the degrees drawn stay small
+_BAD_DEGREES = [None, True, -1, 0, 1, 3, 2.5, "2", [], {}]
+
+
+@st.composite
+def _edits(draw):
+    """One edit of a description, ``(key, index, field, action, value)``: an
+    action on field ``field`` of entry ``index`` of a list, or on a top-level
+    key (index None), or ``key`` "doc" for the whole document."""
+    key = draw(st.sampled_from(["vertices", "edges", "weights", "max_degree", "meta", "weight_rule", "doc"]))
+    if key in ("vertices", "edges", "weights"):
+        entries = _BASE["weights"]["2"] if key == "weights" else _BASE[key]
+        index = draw(st.integers(0, len(entries) - 1))
+        field = draw(st.sampled_from(sorted(entries[0]) + [None]))
+        action = draw(st.sampled_from(["set", "delete", "repeat", "repeat-reweighted", "drop", "replace"]))
+        return (key, index, field, action, draw(st.sampled_from(_BAD_VALUES)))
+    values = _BAD_DEGREES if key == "max_degree" else _BAD_VALUES + _RULES_AND_WEIGHTS
+    return (key, None, None, draw(st.sampled_from(["set", "delete"])), draw(st.sampled_from(values)))
+
+
+_WEIGHT_FIELD = {"vertices": "m0", "edges": "m1", "weights": "m"}
+
+
+def _edited(doc, edit):
+    """``doc`` with ``edit`` made, or unchanged where an earlier edit removed
+    what this one edits."""
+    key, index, field, action, value = edit
+    value = copy.deepcopy(value)
+    try:
+        if key == "doc":
+            return value if action == "set" else doc
+        if index is None:
+            if action == "set":
+                doc[key] = value
+            else:
+                doc.pop(key, None)
+            return doc
+        entries = doc["weights"]["2"] if key == "weights" else doc[key]
+        entry = entries[index]
+        if action == "set" and field is not None:
+            entry[field] = value
+        elif action == "delete" and field is not None:
+            del entry[field]
+        elif action == "repeat":
+            entries.append(copy.deepcopy(entry))
+        elif action == "repeat-reweighted":
+            entries.append(dict(copy.deepcopy(entry), **{_WEIGHT_FIELD[key]: 3.0}))
+        elif action == "drop":
+            del entries[index]
+        elif action == "replace":
+            entries[index] = value
+    except (LookupError, TypeError, ValueError, AttributeError):
+        pass
+    return doc
+
+
+@given(st.lists(_edits(), min_size=1, max_size=3))
+@example([("vertices", 0, "m0", "set", 10 ** 400)])
+@example([("edges", 1, None, "repeat-reweighted", None), ("weights", 0, "simplex", "set", [[0, 0]])])
+@example([("edges", 0, None, "drop", None)])
+@example([("weight_rule", None, None, "set", {"kind": "radial", "base": [[0, 0]], "alpha": 10 ** 400}),
+          ("weights", None, None, "delete", None)])
+def test_mutated_descriptions_load_or_end_in_one_error_line(tmp_path_factory, edits):
+    """Wrong types, repeated or missing entries and ids, missing faces and bad
+    weights: every call exits 0, or exits 1 with exactly one error: line."""
+    doc = copy.deepcopy(_BASE)
+    for edit in edits:
+        doc = _edited(doc, edit)
+    path = tmp_path_factory.mktemp("fuzz") / "cx.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["spectrum", "--input", str(path), "--degree", "0", "--how-many", "2"])
+    if code:
+        assert_one_line_error(code, err.getvalue())
+    else:
+        assert err.getvalue() == ""

@@ -27,6 +27,7 @@ from hodgelab.generators import (
     gen_truncated_tree,
     lattice_cube,
     offspring_tree_family,
+    radial_weighting,
 )
 from hodgelab.operators import coboundary_matrix
 
@@ -448,3 +449,49 @@ def test_betti_of_the_hollow_tetrahedron_takes_a_rank_on_its_core(K4, monkeypatc
     assert hollow.topology.betti == (1, 0, 1, 0)
     assert shapes == [(4, 6)]
     assert hollow.topology.betti == tuple(betti_by_rank(hollow.simplices))
+
+
+_FAMILIES = {
+    "lattice": lambda: gen_lattice(2, 2, 3),
+    "lattice-3d": lambda: gen_lattice(3, 3, 1),
+    "nearest": lambda: gen_lattice(2, 2, 3, "nearest"),
+    "perturbed": lambda: gen_perturbed_lattice(2, 2, 3, lattice_cube(3, 2)),
+    "alternating": lambda: gen_alternating_triangulation(3),
+    "truncated-tree": lambda: gen_truncated_tree(2, 4),
+    "offspring-tree": lambda: offspring_tree_family("n^2", 4),
+    "offspring-tree-parity-1": lambda: offspring_tree_family("n^2", 4, 1),
+    "offspring-tree-depth-0": lambda: offspring_tree_family("2", 0),
+}
+
+
+@pytest.mark.parametrize("radial", [False, True])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_every_generated_description_round_trips(family, radial):
+    cx = _FAMILIES[family]()
+    if radial:
+        cx = radial_weighting(cx, cx.topology.vertices[:1], 1.5)
+    doc = json.loads(json.dumps(complex_to_json(cx)))
+    back = complex_from_json(doc)
+    assert complex_to_json(back) == doc
+    assert back.simplices == cx.simplices
+    assert [w.tolist() for w in back.weights] == [w.tolist() for w in cx.weights]
+
+
+def test_descriptions_with_explicit_weights_round_trip():
+    tree = offspring_tree_family("n^2", 4)
+    skewed = reweighted(tree, tree.weights[:2] + [np.linspace(0.5, 2.0, tree.size(2)), np.full(tree.size(3), 3.0)])
+    for doc in (k3_description(m0=2.0, m1=0.25, m=2.5), json.loads(json.dumps(complex_to_json(skewed)))):
+        assert complex_to_json(complex_from_json(doc)) == doc
+
+
+def test_nested_list_ids_decode_to_nested_tuples():
+    """Ids are lists of numbers, strings or lists, at any depth; each list
+    decodes to a tuple."""
+    vertices = [((0, 1), 2), ((0, 1), 3), ((0, 2), (4, (5, "a")))]
+    edges = list(itertools.combinations(vertices, 2))
+    cx = build_clique_complex(WeightedGraph({v: 1.0 for v in vertices}, {e: 1.0 for e in edges}), 2)
+    doc = json.loads(json.dumps(complex_to_json(cx)))
+    assert doc["vertices"][0]["id"] == [[0, 1], 2]
+    back = complex_from_json(doc)
+    assert back.simplices == cx.simplices
+    assert json.loads(json.dumps(complex_to_json(back))) == doc

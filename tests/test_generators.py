@@ -131,6 +131,40 @@ def test_offspring_trees_above_the_simplex_cap_are_refused_before_building(monke
         gen_offspring_tree(40, lambda n: 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: gen_lattice(2, 2, 10 ** 6), lambda: gen_lattice(3, 3, 100), lambda: gen_lattice(30, 2, 1),
+    lambda: gen_lattice(10 ** 9, 1, 1, "nearest"), lambda: gen_alternating_triangulation(10 ** 6),
+    lambda: gen_truncated_tree(2, 40), lambda: gen_truncated_tree(2, 10 ** 9),
+])
+def test_lattices_and_trees_above_the_simplex_cap_are_refused_before_building(monkeypatch, build):
+    """The refusal is decided from the vertex count and the number of edge
+    directions: no array or label list is made."""
+    monkeypatch.setattr(generators, "np", None)
+    monkeypatch.setattr(generators, "itertools", None)
+    monkeypatch.setattr(generators, "_tree", lambda *args: pytest.fail("the tree was built"))
+    with pytest.raises(ValueError, match=f"may have more than {MAX_OFFSPRING_SIMPLICES} simplices"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_lattice(2, 2, 3), lambda: gen_lattice(3, 3, 2), lambda: gen_lattice(3, 2, 1),
+    lambda: gen_lattice(2, 2, 3, "nearest"), lambda: gen_lattice(1, 3, 4, "nearest"),
+    lambda: gen_alternating_triangulation(3), lambda: gen_truncated_tree(2, 5), lambda: gen_truncated_tree(0, 3),
+])
+def test_the_size_bound_holds_every_simplex(monkeypatch, build):
+    """Each generator's bound is at least its simplex count: with the cap one
+    below that count, the same call is refused."""
+    size = build().num_simplices()
+    monkeypatch.setattr(generators, "MAX_OFFSPRING_SIMPLICES", size - 1)
+    with pytest.raises(ValueError, match=f"may have more than {size - 1} simplices"):
+        build()
+
+
+def test_the_large_lattice_stays_under_the_cap():
+    generators._refuse_above_cap("lattice", 121 ** 2, 3, 2)  # gen_lattice(2, 2, 60)
+    assert gen_lattice(2, 2, 60).num_simplices() == 14_641 + 43_440 + 28_800
+
+
 def test_offspring_size_estimate_stops_past_the_cap():
     assert estimate_offspring_tree_size("n^2", 7) == 3_199_797 <= MAX_OFFSPRING_SIMPLICES
     assert estimate_offspring_tree_size("2", 20) <= MAX_OFFSPRING_SIMPLICES

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ from hodgelab import (
     gauss_bonnet_apply,
     inner_product,
 )
+from hodgelab import operators
 from hodgelab.complexes import reweighted
 from hodgelab.generators import gen_alternating_triangulation, gen_lattice
 from hodgelab.operators import (
@@ -227,6 +230,33 @@ def test_export_coordinate_text(tmp_path, K3):
     assert nnz == len(lines) - 1
     r, c, v = lines[1].split()
     assert int(r) >= 1 and int(c) >= 1
+
+
+def _per_line_coordinate_text(matrix):
+    coo = matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    rows, cols, vals = (coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(), coo.data[order].tolist()
+    return f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n" + "".join(
+        f"{r} {c} {v:.17g}\n" for r, c, v in zip(rows, cols, vals))
+
+
+@pytest.mark.parametrize("chunk", [operators.EXPORT_CHUNK, 2])
+def test_coordinate_text_is_the_per_line_format(tmp_path, monkeypatch, chunk):
+    """Negative, subnormal, integer-valued, 17-digit and non-finite values, a
+    stored -0.0, and empty blocks, with one chunk or many."""
+    monkeypatch.setattr(operators, "EXPORT_CHUNK", chunk)
+    values = [-1.5, 5e-324, 2.5e-310, 3.0, -(2.0 ** 53), 0.1 + 0.2, 1 / 3, 123456789.12345678,
+              1e300, -0.0, float("inf"), float("nan")]
+    rows = [k % 5 for k in range(len(values))]
+    cols = [(3 * k) % 7 for k in range(len(values))]
+    blocks = [sp.csr_matrix(sp.coo_matrix((values, (rows, cols)), shape=(5, 7))),
+              sp.csr_matrix((0, 0)), sp.csr_matrix((3, 4))]
+    for block in blocks:
+        buf = io.StringIO()
+        export_coordinate_text(block, buf)
+        assert buf.getvalue() == _per_line_coordinate_text(block)
+        export_coordinate_text(block, tmp_path / "block.txt")
+        assert (tmp_path / "block.txt").read_text() == buf.getvalue()
 
 
 def test_lattice_operators_exact_identities():

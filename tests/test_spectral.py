@@ -193,8 +193,8 @@ def test_sweep_assembles_no_degree_one_block(monkeypatch):
 
 def test_lifting_raises_c_over_a_small_upper_coboundary(monkeypatch):
     """Light tetrahedra put c sigma^2_+(W_2) below sigma^2_+(W_1) at c = 1, so
-    the iterative solve of G_1 (622 rows) is refused and repeated with a
-    larger c."""
+    the solve of G_1 (622 rows in 618 components, solved per component in
+    dense stacks) is refused and repeated with a larger c."""
     cx = offspring_tree_family("n^2", 5)
     light = reweighted(cx, cx.weights[:3] + [np.full(cx.size(3), 1e-6)])
     scales, lifted = [], spectral._lifted_block
