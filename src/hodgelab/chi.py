@@ -66,6 +66,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 VERDICT_ATOL = 1e-12
 VERDICT_RTOL = 1e-9
 GROWTH_STREAK = 5
+#: singular values of the coupling block above RANK_TOL * max(1, sigma_max) count toward its rank
+RANK_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -404,8 +406,7 @@ class CouplingReport:
     label: str = "finite-truncation evidence"
 
 
-def coupling_block(cx: WeightedComplex, region: Iterable,
-                   rank_tol: float = 1e-10) -> CouplingReport:
+def coupling_block(cx: WeightedComplex, region: Iterable) -> CouplingReport:
     """The block C of D = [[D_in, C], [C*, D_out]], split by region membership
     of simplices, and its singular values."""
     region = set(region)
@@ -423,7 +424,7 @@ def coupling_block(cx: WeightedComplex, region: Iterable,
         dense = C[np.unique(coo.row)][:, np.unique(coo.col)].toarray()
         svals = np.linalg.svd(dense, compute_uv=False)
         smax = float(svals[0])
-        rank = int(np.sum(svals > rank_tol * max(1.0, smax)))
+        rank = int(np.sum(svals > RANK_TOL * max(1.0, smax)))
     return CouplingReport(rank=rank, sigma_max=smax, nnz=C.nnz, cross_simplices=cross)
 
 

@@ -246,7 +246,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_hodge(args) -> int:
     cx = _load_complex(args.input)
-    dec = spectral.hodge_decompose(cx, args.degree, rank_tol=args.kernel_thresh)
+    dec = spectral.hodge_decompose(cx, args.degree)
     result = {
         "degree": dec.degree,
         "betti": dec.betti,
@@ -353,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--input", required=True)
     h.add_argument("--degree", type=int, required=True)
     h.add_argument("--export-basis", dest="export_basis")
-    h.add_argument("--kernel-thresh", dest="kernel_thresh", type=float,
-                   default=spectral.KERNEL_THRESH)
 
     w = sub.add_parser("sweep", help="depth-indexed spectral sweep of a growth family")
     common(w)

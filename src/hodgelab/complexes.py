@@ -36,6 +36,11 @@ __all__ = [
 
 Vertex = Hashable
 
+#: the most simplices a generator builds, and the bound on a max degree; larger complexes are refused
+MAX_OFFSPRING_SIMPLICES = 10 ** 7
+# 2 ** _BITS passes the cap, so a power side ** min(d, _BITS), side >= 2, passes it when side ** d does
+_BITS = MAX_OFFSPRING_SIMPLICES.bit_length()
+
 
 def canonical_sign(vertices: Sequence[Vertex]) -> tuple[tuple, int]:
     """Sorted representative of an oriented vertex tuple and the sort parity.
@@ -338,6 +343,9 @@ def clique_tables(n0: int, edges: np.ndarray, n: int) -> list[np.ndarray]:
     """
     if n < 1:
         raise ValueError("max degree n must be >= 1")
+    if 2 ** min(n + 1, _BITS) - 1 > MAX_OFFSPRING_SIMPLICES:  # the faces of one degree-n simplex
+        raise ValueError(f"max degree {n} passes the cap: a degree-{n} simplex has 2^{n + 1} - 1 faces, "
+                         f"more than {MAX_OFFSPRING_SIMPLICES}")
     codes = edges[:, 0] * n0 + edges[:, 1]
     order = np.argsort(codes)
     edges, codes = edges[order], codes[order]

@@ -20,6 +20,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .complexes import (
+    _BITS,
+    MAX_OFFSPRING_SIMPLICES,
     Topology,
     WeightedComplex,
     clique_tables,
@@ -40,11 +42,6 @@ __all__ = [
     "parse_offspring",
     "MAX_OFFSPRING_SIMPLICES",
 ]
-
-#: the most simplices a generator builds; larger complexes are refused
-MAX_OFFSPRING_SIMPLICES = 10 ** 7
-# 2 ** _BITS passes the cap, so a power side ** min(d, _BITS), side >= 2, passes it when side ** d does
-_BITS = MAX_OFFSPRING_SIMPLICES.bit_length()
 
 
 def _refuse_above_cap(what: str, vertices: int, directions: int, n: int) -> None:
@@ -99,6 +96,8 @@ def lattice_cube(side: int, d: int = 2, center: tuple | None = None) -> set:
     """Axis-aligned cube of ``side`` lattice points per axis."""
     if side < 1:
         raise ValueError("side must be >= 1")
+    if side ** min(d, _BITS) > MAX_OFFSPRING_SIMPLICES:
+        raise ValueError(f"the cube of side {side} in dimension {d} has more than {MAX_OFFSPRING_SIMPLICES} points")
     center = center or (0,) * d
     offsets = range(-(side // 2), side - side // 2)
     return {tuple(c + o for c, o in zip(center, off))

@@ -86,9 +86,11 @@ def _group_multiplicities(vals, tol=1e-8):
 
 def spectrum(cx: WeightedComplex, degree: int, how_many: int = 6,
              method: str = "auto", seed: int = 0) -> SpectrumReport:
-    """Smallest eigenvalues of the degree block, dense below the cutover.  At
-    degree 0 the first min(beta_0, how_many) are 0.0, counted by components (ker
-    L_0 is sqrt(m0) on each); with nothing left to solve the method is "kernel"."""
+    """Smallest eigenvalues of the degree block, dense below the cutover; the
+    first min(beta_i, how_many), beta_i from ``Topology.betti``, are 0.0.  At
+    degree 0 ker L_0 (sqrt(m0) on each component) is projected out, and with
+    nothing left to solve the method is "kernel"; at degree i >= 1 the solve
+    finds the zero pairs too, and their residuals are taken against 0.0."""
     return _spectrum(cx, degree, how_many, method, seed, vectors=True)
 
 
@@ -107,17 +109,20 @@ def _spectrum(cx, degree, how_many, method, seed, vectors) -> SpectrumReport:
     if dim == 0:
         return SpectrumReport(degree, [], [], "empty", [])
     how_many = min(how_many, dim)
-    zeros = 0 if degree else min(int(cx.topology.components.max()) + 1, how_many)
-    A = symmetrized_laplacian(cx, degree) if vectors or zeros < how_many else None
-    kernel = _kernel_basis(cx) if zeros else None
-    if zeros == how_many:
+    zeros = min(cx.topology.betti[degree], how_many)
+    kernel = None if degree else _kernel_basis(cx)
+    skip = 0 if vectors and degree else zeros  # with no kernel basis the solve finds the zero pairs too
+    A = symmetrized_laplacian(cx, degree) if vectors or skip < how_many else None
+    if skip == how_many:
         method, vals, vecs, converged, message = "kernel", np.zeros(0), np.zeros((dim, 0)), True, ""
     else:
-        vals, vecs, method, converged, message = _solve(A, zeros, how_many - zeros, method, seed,
+        vals, vecs, method, converged, message = _solve(A, skip, how_many - skip, method, seed,
                                                         vectors, kernel)
-    vals, residuals = np.r_[np.zeros(zeros), vals], []
+    vals, residuals = np.r_[np.zeros(skip), vals], []
+    vals[:zeros] = 0.0
     if vectors:
-        vecs = np.column_stack([kernel[:, :zeros].toarray() if zeros else np.zeros((dim, 0)), vecs])
+        if kernel is not None:
+            vecs = np.column_stack([kernel[:, :zeros].toarray(), vecs])
         residuals = [float(np.linalg.norm(A @ v - lam * v)) for lam, v in zip(vals, vecs.T)]
     eigenvalues, mult = _group_multiplicities(vals)
     return SpectrumReport(degree, eigenvalues, mult, method, residuals, converged, message)
@@ -262,20 +267,26 @@ def _lifted_block(cx: WeightedComplex, i: int, c: float) -> sp.csr_matrix:
     return (W @ W.T + c * (U.T @ U)).tocsr()
 
 
+def _coboundary_ranks(cx: WeightedComplex) -> list[int]:
+    """rank d_{i-1} at index i = 0 .. n+1, by rank d_i = N_i - beta_i - rank d_{i-1}
+    from the Betti numbers of the topology, d_{-1} = 0; the last entry, rank d_n, is 0."""
+    ranks = [0]
+    for i, beta in enumerate(cx.topology.betti):
+        ranks.append(cx.size(i) - beta - ranks[-1])
+    return ranks
+
+
 def _hodge_spectra(cx: WeightedComplex, how_many: int, seed: int) -> list[np.ndarray]:
     """The how_many smallest eigenvalues of every L_i of ``cx``, ascending:
     min(beta_i, how_many) zeros written 0.0, then the merge of S_{i-1} and S_i.
 
     S_i holds the min(how_many, rank W_i) smallest values of sigma^2_+(W_i),
-    where rank W_i = N_i - beta_i - rank W_{i-1}.  S_0 comes from L_0 with its
+    rank W_i from ``_coboundary_ranks``.  S_0 comes from L_0 with its
     kernel projected out.  The others come top-down from ``_lifted_block``:
     a solve of G_i is accepted when every value lies below c S_{i+1}[0], so
     none is a scaled value of W_{i+1}; otherwise c grows and G_i is solved
     again.  Starting from c = 1, G_i is L_{i+1}, so L_1 is never built."""
-    n, betti = cx.max_degree, cx.topology.betti
-    ranks = [0]
-    for i in range(n):
-        ranks.append(cx.size(i) - betti[i] - ranks[-1])
+    n, betti, ranks = cx.max_degree, cx.topology.betti, _coboundary_ranks(cx)
     S = [np.zeros(0)] * (n + 1)  # S[n] stays empty: there is no W_n
     for i in range(n - 1, 0, -1):
         count, c, above = min(how_many, ranks[i + 1]), 1.0, S[i + 1][:1]
@@ -303,61 +314,38 @@ class HodgeDecomposition:
     basis_im_d: np.ndarray
     basis_ker: np.ndarray
     basis_im_delta: np.ndarray
-    betti: int
+
+    @property
+    def betti(self) -> int:
+        return self.basis_ker.shape[1]
 
     def dims(self) -> tuple[int, int, int]:
-        return (self.basis_im_d.shape[1], self.basis_ker.shape[1],
-                self.basis_im_delta.shape[1])
+        return (self.basis_im_d.shape[1], self.betti, self.basis_im_delta.shape[1])
 
 
-def hodge_decompose(cx: WeightedComplex, ell: int, rank_tol: float = 1e-10) -> HodgeDecomposition:
+def hodge_decompose(cx: WeightedComplex, ell: int) -> HodgeDecomposition:
     """Orthogonal splitting im d + ker L + im delta at degree ``ell``.
 
-    Bases are orthonormal in the weighted inner product (computed in the
-    M^{1/2} frame and mapped back); dimensions always sum to the table size.
-    A singular value counts toward a rank when it exceeds ``rank_tol`` times
-    the largest one (at least 1), so ``rank_tol`` must lie in (0, 1).
+    The thin SVDs of W_{ell-1} and W_ell^T are cut at the ranks of
+    ``_coboundary_ranks``, and ker L is the orthogonal complement of both
+    column bases, from one complete QR.  Bases are orthonormal in the
+    weighted inner product (computed in the M^{1/2} frame and mapped back);
+    dimensions sum to the table size.
     """
     _check_degree(cx, ell)
-    if not 0 < rank_tol < 1:
-        raise ValueError(f"rank tolerance {rank_tol} must lie in (0, 1)")
+    r_d, r_delta = _coboundary_ranks(cx)[ell:ell + 2]
     n_ell = cx.size(ell)
-    inv_sqrt = 1.0 / np.sqrt(cx.weights[ell])
 
-    def back(Q):
-        return inv_sqrt[:, None] * Q if Q.size else Q.reshape(n_ell, 0)
+    def column_basis(i, r, transpose):
+        if not r:
+            return np.zeros((n_ell, 0))
+        W = _scaled_coboundary(cx, i).toarray()
+        return np.linalg.svd(W.T if transpose else W, full_matrices=False)[0][:, :r]
 
-    W_prev = _scaled_coboundary(cx, ell - 1).toarray() if ell > 0 else np.zeros((n_ell, 0))
-    W_next = _scaled_coboundary(cx, ell).toarray() if ell < cx.max_degree else np.zeros((0, n_ell))
-
-    def col_basis(M):
-        if min(M.shape) == 0:
-            return np.zeros((M.shape[0], 0)), 0
-        U, s, _ = np.linalg.svd(M, full_matrices=False)
-        r = int(np.sum(s > rank_tol * max(1.0, s[0])))
-        return U[:, :r], r
-
-    U_d, r_d = col_basis(W_prev)
-    U_delta, r_delta = col_basis(W_next.T)
-    betti = n_ell - r_d - r_delta
-
-    stacked = np.vstack([W_next, W_prev.T]) if n_ell else np.zeros((0, 0))
-    if stacked.shape[0] == 0:
-        kernel = np.eye(n_ell)
-    else:
-        _, s, Vh = np.linalg.svd(stacked, full_matrices=True)
-        rank = int(np.sum(s > rank_tol * max(1.0, s[0] if len(s) else 0.0)))
-        kernel = Vh[rank:].T
-    if kernel.shape[1] != betti:
-        raise ValueError(f"kernel dimension {kernel.shape[1]} disagrees with rank count "
-                         f"{betti} at rank tolerance {rank_tol}")
-    return HodgeDecomposition(
-        degree=ell,
-        basis_im_d=back(U_d),
-        basis_ker=back(kernel),
-        basis_im_delta=back(U_delta),
-        betti=betti,
-    )
+    U_d, U_delta = column_basis(ell - 1, r_d, False), column_basis(ell, r_delta, True)
+    Q = np.linalg.qr(np.hstack([U_d, U_delta]), mode="complete")[0]
+    inv_sqrt = 1.0 / np.sqrt(cx.weights[ell])[:, None]
+    return HodgeDecomposition(ell, inv_sqrt * U_d, inv_sqrt * Q[:, r_d + r_delta:], inv_sqrt * U_delta)
 
 
 def hodge_orthogonality_residual(cx: WeightedComplex, dec: HodgeDecomposition) -> float:
@@ -381,8 +369,8 @@ def kernel_probe(cx: WeightedComplex, degree: int, shift: complex = 1j,
 
     With L PSD and shift = +-i this is sqrt(lambda_min^2 + 1) >= 1 at every
     finite truncation; deviations below 1 would signal a broken assembly, not
-    spectral behaviour at infinity.  At degree 0 lambda_min is the counted
-    kernel, so the probe is exactly 1 and assembles nothing."""
+    spectral behaviour at infinity.  Where beta_i >= 1, lambda_min is a counted
+    zero, so the probe is exactly 1 and assembles nothing."""
     if shift not in (1j, -1j):
         raise ValueError("shift must be +i or -i")
     return _shifted_sigma_min(_spectrum(cx, degree, 1, "auto", seed, vectors=False).eigenvalues)

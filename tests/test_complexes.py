@@ -29,7 +29,8 @@ from hodgelab.generators import (
     offspring_tree_family,
     radial_weighting,
 )
-from hodgelab.operators import coboundary_matrix
+from hodgelab.operators import adjointness_check, codifferential_matrix, coboundary_matrix
+from hodgelab.spectral import hodge_decompose, hodge_orthogonality_residual
 
 from conftest import k3_description, unit_graph
 from oracles import (
@@ -399,6 +400,35 @@ def test_betti_numbers_by_collapses_match_the_rank_oracle(graph):
     _, _, cx = graph
     assert cx.topology.betti == tuple(betti_by_rank(cx.simplices))
     assert reweighted(cx, cx.weights).topology.betti is cx.topology.betti
+
+
+@given(weighted_graph_complexes())
+def test_operator_identities_and_the_hodge_splitting(graph):
+    """d∘d = 0 and adjointness; the Euler identity against the Betti numbers
+    of the topology; at every degree the Hodge splitting has the dimensions
+    (rank d_{l-1}, beta_l, rank d_l) of the rank oracle, is orthogonal, and
+    d and delta annihilate its harmonic basis."""
+    _, _, cx = graph
+    tables, n = cx.simplices, cx.max_degree
+    for i in range(n - 1):
+        assert abs(coboundary_matrix(cx, i + 1) @ coboundary_matrix(cx, i)).sum() == 0
+    for i in range(n):
+        if cx.size(i + 1):
+            assert adjointness_check(cx, i, trials=10) <= 1e-10
+    assert sum((-1) ** i * cx.size(i) for i in range(n + 1)) == sum(
+        (-1) ** i * b for i, b in enumerate(cx.topology.betti))
+    betti = betti_by_rank(tables)
+    ranks = [0] + [np.linalg.matrix_rank(boundary_matrix(tables[k - 1], tables[k])) if tables[k] else 0
+                   for k in range(1, n + 1)] + [0]
+    for ell in range(n + 1):
+        dec = hodge_decompose(cx, ell)
+        assert dec.dims() == (ranks[ell], betti[ell], ranks[ell + 1])
+        assert hodge_orthogonality_residual(cx, dec) <= 1e-10
+        K = dec.basis_ker
+        if ell < n:
+            assert np.abs(coboundary_matrix(cx, ell) @ K).max(initial=0.0) <= 1e-10
+        if ell:
+            assert np.abs(codifferential_matrix(cx, ell) @ K).max(initial=0.0) <= 1e-10
 
 
 @pytest.mark.parametrize("make", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 
 from hodgelab import build_clique_complex, drop_simplices, spectral
 from hodgelab.complexes import reweighted
-from hodgelab.generators import offspring_tree_family, gen_lattice, gen_truncated_tree, radial_weighting
+from hodgelab.generators import (gen_alternating_triangulation, gen_lattice, gen_truncated_tree,
+                                 offspring_tree_family, radial_weighting)
 from hodgelab.operators import _scaled_coboundary, coboundary_matrix, symmetrized_laplacian
 from hodgelab.spectral import (
     DENSE_CUTOVER,
@@ -54,6 +56,23 @@ def test_spectrum_four_cycle_harmonic(four_cycle):
     vals = np.repeat(rep.eigenvalues, rep.multiplicities)
     assert abs(vals[0]) <= 1e-10
     assert vals[1] > 1e-8  # simple zero eigenvalue: one harmonic loop
+
+
+@pytest.mark.parametrize("make,degree,beta", [
+    (lambda: gen_alternating_triangulation(6), 1, 72),  # 384 rows, iterative
+    (lambda: drop_simplices(build_clique_complex(unit_graph("abcd", list(itertools.combinations("abcd", 2))), 3),
+                            3, lambda s: False), 2, 1),  # the hollow tetrahedron, dense
+], ids=["alternating", "hollow-tetrahedron"])
+def test_spectrum_writes_the_counted_zeros_as_zero(make, degree, beta):
+    """At degree i >= 1 the first min(beta_i, how_many) values are 0.0, and
+    their solved vectors have residuals against 0.0."""
+    cx = make()
+    assert cx.topology.betti[degree] == beta
+    rep = spectrum(cx, degree, how_many=beta + 2)
+    assert rep.eigenvalues[0] == 0.0 and rep.multiplicities[0] == beta and rep.eigenvalues[1] > KERNEL_THRESH
+    assert len(rep.residuals) == beta + 2 and max(rep.residuals) <= 1e-8
+    rep = spectrum(cx, degree, how_many=1)
+    assert rep.eigenvalues == [0.0] and rep.multiplicities == [1]
 
 
 def test_dense_and_iterative_agree():
