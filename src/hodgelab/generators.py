@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import itertools
 import math
+from collections.abc import Set
 from typing import Callable, Iterable
 
 import numpy as np
@@ -92,16 +93,30 @@ def gen_lattice(d: int, n: int, radius: int, adjacency: str = "freudenthal") -> 
     return cx
 
 
-def lattice_cube(side: int, d: int = 2, center: tuple | None = None) -> set:
-    """Axis-aligned cube of ``side`` lattice points per axis."""
+class _Cube(Set):
+    """The lattice points of an axis-aligned box, one range per axis; a
+    point is tested by its coordinates, and none is stored."""
+
+    def __init__(self, ranges: list[range]):
+        self.ranges = ranges
+
+    def __contains__(self, v) -> bool:
+        return isinstance(v, tuple) and len(v) == len(self.ranges) and all(x in r for x, r in zip(v, self.ranges))
+
+    def __iter__(self):
+        return itertools.product(*self.ranges)
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.ranges))
+
+
+def lattice_cube(side: int, d: int = 2, center: tuple | None = None) -> Set:
+    """Axis-aligned cube of ``side`` lattice points per axis, as a lazy set."""
     if side < 1:
         raise ValueError("side must be >= 1")
     if side ** min(d, _BITS) > MAX_OFFSPRING_SIMPLICES:
         raise ValueError(f"the cube of side {side} in dimension {d} has more than {MAX_OFFSPRING_SIMPLICES} points")
-    center = center or (0,) * d
-    offsets = range(-(side // 2), side - side // 2)
-    return {tuple(c + o for c, o in zip(center, off))
-            for off in itertools.product(offsets, repeat=d)}
+    return _Cube([range(c - side // 2, c + side - side // 2) for c in (center or (0,) * d)[:d]])
 
 
 def gen_perturbed_lattice(d: int, n: int, radius: int, region: Iterable[tuple],
@@ -110,7 +125,7 @@ def gen_perturbed_lattice(d: int, n: int, radius: int, region: Iterable[tuple],
 
     Lower degrees are untouched; an empty region removes all top simplices.
     """
-    region = set(region)
+    region = region if isinstance(region, Set) else set(region)
     cx = gen_lattice(d, n, radius, adjacency)
     cx = drop_simplices(cx, n, lambda s: all(v in region for v in s))
     cx.meta.update(family="perturbed_lattice", region_size=len(region))

@@ -130,13 +130,14 @@ def _spectrum(cx, degree, how_many, method, seed, vectors) -> SpectrumReport:
 
 def _solve(A, skip: int, count: int, method: str, seed: int, vectors: bool, kernel=None):
     """Eigenvalues skip .. skip+count-1 of the symmetric PSD matrix ``A``,
-    ascending, as (values, vectors or None, method, converged, message); a
-    direct sum above the cutover, when no vectors or kernel basis are given,
-    one component at a time."""
-    if method == "auto" and not vectors and kernel is None and A.shape[0] > DENSE_CUTOVER:
-        ncomp, labels = connected_components(A, directed=False)
+    ascending, as (values, vectors or None, method, converged, message).
+    Above the cutover with no vectors, a direct sum with no kernel basis is
+    solved one component at a time, any other block by ``_solve_twins``."""
+    if method == "auto" and not vectors and A.shape[0] > DENSE_CUTOVER:
+        ncomp, labels = connected_components(A, directed=False) if kernel is None else (1, None)
         if ncomp > 1:
             return _solve_components(A, labels, skip, count, seed)
+        return _solve_twins(A, skip, count, seed, kernel)
     return _solve_block(A, skip, count, method, seed, vectors, kernel)
 
 
@@ -145,7 +146,7 @@ def _solve_components(A, labels: np.ndarray, skip: int, count: int, seed: int):
     component ``labels`` of ``A``, merged with every copy counted, hold the
     lowest of ``A``.  Components of equal size up to the cutover are solved
     together by batched ``eigvalsh`` on stacks of at most STACK_ENTRIES
-    entries; a larger one takes ``_solve_block`` on its rows.  The method
+    entries; a larger one takes ``_solve_twins`` on its rows.  The method
     reads "components"."""
     want, sizes = skip + count, np.bincount(labels)
     rows = np.lexsort((labels, sizes[labels]))  # component by component, smallest first
@@ -157,7 +158,7 @@ def _solve_components(A, labels: np.ndarray, skip: int, count: int, seed: int):
         size = int(sizes[lo])
         if size > DENSE_CUTOVER:
             hi = lo + 1
-            out = _solve_block(B[start:start + size, start:start + size], 0, min(want, size), "auto", seed, False)
+            out = _solve_twins(B[start:start + size, start:start + size], 0, min(want, size), seed)
             vals.append(out[0])
             converged, message = converged and out[3], message or out[4]
         else:
@@ -170,6 +171,62 @@ def _solve_components(A, labels: np.ndarray, skip: int, count: int, seed: int):
         start += (hi - lo) * size
         lo = hi
     return np.sort(np.concatenate(vals))[skip:want], None, "components", converged, message
+
+
+def _solve_twins(A, skip: int, count: int, seed: int, kernel=None):
+    """``_solve`` without vectors, by an equitable decomposition (Barrett,
+    Francis & Webb, Linear Algebra Appl. 2017): a class of t twins gives t - 1
+    copies of A_pp - A_ps and one row, its sum over sqrt(t), to B = Q^T A Q,
+    until B has no twins.  B, with Q^T ``kernel``, takes ``_solve_block``; the
+    method is its route, or "twins" when B holds nothing but the kernel."""
+    twins = []
+    while (pairs := _twin_pairs(A, kernel))[0].size:
+        P, S, a = pairs
+        d, n = A.diagonal(), A.shape[0]
+        twins.append(d[P] - a)
+        reps = np.flatnonzero(np.bincount(S, minlength=n) == 0)
+        t = np.bincount(P, minlength=n)[reps] + 1.0
+        C = A.tocsr()[reps][:, reps].tocoo()
+        C.data = np.where(C.row == C.col, 0.0, C.data * np.sqrt(t[C.row] * t[C.col]))  # symmetric to the bit
+        A = (C + sp.diags(d[reps] + np.bincount(P, weights=a, minlength=n)[reps])).tocsr()
+        kernel = None if kernel is None else sp.csr_matrix(kernel[reps].multiply(np.sqrt(t)[:, None]))
+    low = skip if kernel is not None else 0  # with no kernel basis, twin values may lie below skip
+    want = min(skip + count, A.shape[0]) - low
+    vals, _, method, converged, message = (_solve_block(A, low, want, "auto", seed, False, kernel) if want
+                                           else (np.zeros(0), None, "twins", True, ""))
+    return np.sort(np.concatenate([vals, *twins]))[skip - low:skip - low + count], None, method, converged, message
+
+
+def _twin_pairs(A, kernel=None):
+    """Twin rows of the symmetric ``A`` as (P, S, A_PS), S paired with the first
+    row P of its class: rows p != s with A_pp == A_ss and with equal entries,
+    and rows of ``kernel``, outside columns {p, s}.  Hashes of each row's
+    off-diagonal entries (twins not adjacent) and of its column set and value
+    multiset (adjacent twins) propose the pairs; equal stored floats decide."""
+    n, M, d = A.shape[0], (A if kernel is None else sp.hstack([A, kernel])).tocsr(), A.diagonal()
+
+    def mix(x):  # the splitmix64 finaliser of each unsigned 64-bit entry
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    def proposed(h):  # each row with the first row whose sum of h over its entries is equal
+        c = np.concatenate([np.zeros(1, np.uint64), np.cumsum(h, dtype=np.uint64)])
+        _, first, group = np.unique(c[M.indptr[1:]] - c[M.indptr[:-1]], return_index=True, return_inverse=True)
+        S = np.flatnonzero(first[group] != np.arange(n))
+        return first[group][S], S
+
+    col, val = mix(np.arange(1, M.shape[1] + 1, dtype=np.uint64))[M.indices], mix(M.data.view(np.uint64))
+    off = M.indices != np.repeat(np.arange(n), np.diff(M.indptr))
+    for h in (np.where(off, mix(col ^ val), 0), col + mix(val)):
+        P, S = proposed(h)
+        E = (M[P] - M[S]).tocoo()  # zero outside columns {p, s} exactly where the rows are twins
+        outside = (E.data != 0) & (E.col != P[E.row]) & (E.col != S[E.row])
+        keep = (d[P] == d[S]) & (np.bincount(E.row[outside], minlength=len(P)) == 0)
+        P, S = P[keep], S[keep]
+        if P.size:  # the pairs of one hash, so that no row is in two classes
+            break
+    return P, S, np.asarray(A.tocsr()[P, S]).ravel()
 
 
 def _solve_block(A, skip: int, count: int, method: str, seed: int, vectors: bool, kernel=None):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,32 @@ def test_perturbed_lattice_trivial_regions():
     assert whole.counts() == full.counts()
     empty = gen_perturbed_lattice(2, 2, 3, [])
     assert empty.counts()[2] == 0
+
+
+def test_the_cube_is_the_set_of_its_points():
+    """The lazy cube holds exactly the points of the set it replaced."""
+    for side, d, center in ((4, 2, None), (5, 2, (1, -1)), (3, 3, (0, 2, 0)), (2, 3, (1, 1, 1, 1))):
+        offsets = range(-(side // 2), side - side // 2)
+        want = {tuple(c + o for c, o in zip(center or (0,) * d, off)) for off in itertools.product(offsets, repeat=d)}
+        cube = lattice_cube(side, d, center)
+        assert cube == want and len(cube) == len(want) and set(cube) == want
+        assert all(p in cube for p in want) and (99, 99) not in cube and [0, 0] not in cube
+
+
+def test_a_large_cube_stores_no_points():
+    """``generate --kind perturbed --side 3000 --radius 2``: the cube has
+    9e6 points, and the radius-2 patch tests 25 of them."""
+    tracemalloc.start()
+    try:
+        cube = lattice_cube(3000, 2)
+        cx = gen_perturbed_lattice(2, 2, 2, cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    assert len(cube) == 9 * 10 ** 6 and cx.meta["region_size"] == 9 * 10 ** 6
+    assert (-1500, 1499) in cube and (1500, 0) not in cube and (0, 0, 0) not in cube
+    assert cx.counts() == gen_lattice(2, 2, 2).counts()
 
 
 def test_alternating_triangulation_counts():

@@ -199,7 +199,7 @@ def test_a_value_shared_by_two_rows_is_the_same_float():
         rows = _hodge_spectra(offspring_tree_family("n^2", depth), 4, seed=0)
         assert rows[0][0] == 0.0 and rows[1][0] == rows[0][1]
     table = esa_sweep("n^2", [6], seed=1)["rows"][0]["smallest_eigenvalues"]
-    assert table["1"][0] == table["0"][1] == 6.69879392471e-05
+    assert table["1"][0] == table["0"][1] == 6.69879392466e-05
 
 
 def test_sweep_assembles_no_degree_one_block(monkeypatch):
@@ -300,6 +300,116 @@ def test_component_route_counts_every_copy_of_a_value(monkeypatch, stacks):
     vals = spectral._solve(A, 170, 40, "auto", 0, False)[0]
     np.testing.assert_allclose(vals, [2.0] * 10 + [4.0] * 30, rtol=1e-10)
     assert sorted(stacks) == [(10, 2, 2)] * 6 + [(40, 1, 1)] * 4
+
+
+def _planted_twins(seed, base, classes=(), pairs_under=()):
+    """The symmetrized Laplacian M^{-1/2} (D - W) M^{-1/2} of a random weighted
+    graph on ``base`` vertices with planted twins, and its kernel basis,
+    sqrt(m0) normalised.  Each (v, t, w) of ``classes`` adds t - 1 copies of
+    vertex v with its edges and weight, joined to v and to each other by
+    weight w when w > 0.  Each (p, k) of ``pairs_under`` adds k pairs of
+    leaves under p, as in the offspring trees: each pair collapses first, and
+    then the k pairs under p.  Weights are multiples of 1/8, so every degree is
+    the same float in whatever order it is summed, and each entry is computed
+    as -w / sqrt(m_i m_j), so the matrix is symmetric to the bit."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(v)), v): rng.integers(4, 17) / 8 for v in range(1, base)}  # a random tree
+    for _ in range(base):
+        edges[tuple(sorted(rng.choice(base, 2, replace=False).tolist()))] = rng.integers(4, 17) / 8
+    m = list(rng.integers(4, 17, base) / 8)
+    for v, t, w in classes:
+        clones = list(range(len(m), len(m) + t - 1))
+        m += [m[v]] * (t - 1)
+        for (a, b), x in list(edges.items()):
+            if v in (a, b):
+                edges.update({(a + b - v, c): x for c in clones})
+        edges.update({pair: w for pair in itertools.combinations([v] + clones, 2) if w})
+    for p, k in pairs_under:
+        for i in range(len(m), len(m) + 2 * k, 2):
+            edges.update({(p, i): 1.0, (p, i + 1): 1.0, (i, i + 1): 1.0})
+        m += [1.0] * (2 * k)
+    (u, v), w, m = np.array(list(edges)).T, np.array(list(edges.values())), np.array(m)
+    n = len(m)
+    degree = np.bincount(np.r_[u, v], weights=np.r_[w, w], minlength=n)
+    A = sp.csr_matrix((np.r_[-w, -w, degree] / np.sqrt(m[np.r_[u, v, np.arange(n)]] * m[np.r_[v, u, np.arange(n)]]),
+                       (np.r_[u, v, np.arange(n)], np.r_[v, u, np.arange(n)])), shape=(n, n))
+    return A, sp.csr_matrix(np.sqrt(m / m.sum())[:, None])
+
+
+@pytest.mark.parametrize("base,classes,pairs_under", [
+    (230, [(5, 2, 0.0), (17, 3, 0.0), (40, 4, 0.0)], []),  # twins that are not adjacent
+    (230, [(5, 2, 1.0), (17, 3, 0.5), (40, 4, 2.0)], []),  # adjacent twins
+    (230, [(8, 3, 0.0), (9, 2, 1.5)], [(3, 4), (60, 6)]),  # pairs, then the pairs under a parent
+    (150, [], [(3, 20), (70, 20)]),  # nested, leaving a quotient below the cutover
+])
+@pytest.mark.parametrize("with_kernel", [False, True])
+def test_twin_rows_collapse_to_the_dense_spectrum(monkeypatch, base, classes, pairs_under, with_kernel):
+    """A values-only solve above the cutover keeps one row per twin class, and
+    its values and their multiplicities are those of dense eigvalsh, also in
+    windows that end or start inside a run of twin values."""
+    A, kernel = _planted_twins(0, base, classes, pairs_under)
+    ref = np.linalg.eigvalsh(A.toarray())
+    repeated = np.isclose(ref[1:], ref[:-1], rtol=1e-10) & (ref[1:] > 1e-8)
+    runs = np.flatnonzero(repeated & ~np.r_[False, repeated[:-1]])  # the first index of each repeated value
+    assert A.shape[0] > DENSE_CUTOVER and runs.size
+    blocks, solve_block = [], spectral._solve_block
+    monkeypatch.setattr(spectral, "_solve_block", lambda B, *args: blocks.append(B.shape[0]) or solve_block(B, *args))
+    if with_kernel:  # skip is the kernel's width; each window ends after the first copy of a twin value
+        windows = [(1, 5)] + [(1, r) for r in runs]
+    else:
+        windows = [(0, 5)] + [(r + 1, 3) for r in runs]
+    for skip, count in windows:
+        vals, vecs, _, converged, _ = spectral._solve(A, skip, count, "auto", 0, False, kernel if with_kernel else None)
+        assert vecs is None and converged
+        np.testing.assert_allclose(vals, ref[skip:skip + count], rtol=1e-10, atol=1e-12)
+    assert blocks == [base + len(pairs_under)] * len(windows)
+
+
+def test_rows_that_only_hash_alike_are_not_collapsed():
+    """Vertex 230 is a copy of vertex 5, joined to it.  Moving the copy's
+    diagonal by one ulp keeps its hashes and moving one of its entries (and
+    the mirror) by one ulp changes them; swapping two of its entries keeps
+    the hash of adjacent twins, its columns and its multiset of values.  No
+    such row is collapsed, and the values stay those of dense eigvalsh."""
+    A, _ = _planted_twins(0, 230, [(5, 2, 1.0)])
+    P, S, a = spectral._twin_pairs(A)
+    assert P.tolist() == [5] and S.tolist() == [230] and a.tolist() == [A[5, 230]]
+    k, l = [c for c in A[230].indices if c not in (5, 230)][:2]
+    assert A[230, k] != A[230, l]
+    for entries in ({(230, 230): np.nextafter(A[230, 230], np.inf)}, {(230, k): np.nextafter(A[230, k], np.inf)},
+                    {(230, k): A[230, l], (230, l): A[230, k]}):
+        B = A.tolil()
+        for (i, j), x in entries.items():
+            B[i, j] = B[j, i] = x
+        B = B.tocsr()
+        assert spectral._twin_pairs(B)[0].size == 0
+        ref = np.linalg.eigvalsh(B.toarray())
+        np.testing.assert_allclose(spectral._solve(B, 0, 6, "auto", 0, False)[0], ref[:6], rtol=1e-10, atol=1e-12)
+
+
+def test_isolated_vertices_are_not_twins_of_each_other():
+    """Two isolated vertices have equal, empty rows of L_0, but each holds its
+    own kernel vector, so their rows of the kernel basis differ."""
+    corners = {(-8, -8), (8, 8)}
+    cx = drop_simplices(gen_lattice(2, 2, 8), 1, lambda e: not corners & set(e))
+    A, kernel = symmetrized_laplacian(cx, 0), spectral._kernel_basis(cx)
+    assert A.shape[0] > DENSE_CUTOVER and cx.topology.betti[0] == kernel.shape[1] == 3
+    assert spectral._twin_pairs(A)[0].size == 1 and spectral._twin_pairs(A, kernel)[0].size == 0
+    vals = spectral._solve(A, 3, 5, "auto", 0, False, kernel)[0]
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(A.toarray())[3:8], rtol=1e-10)
+
+
+def test_a_block_of_twins_leaves_only_its_kernel():
+    """Every row of L_0 of the complete graph on 201 vertices is a twin of
+    every other: one class, with the value 201 n - 1 times, and a one-row
+    quotient that holds the kernel alone."""
+    n = DENSE_CUTOVER + 1
+    A = sp.csr_matrix(n * np.eye(n) - np.ones((n, n)))
+    kernel = sp.csr_matrix(np.full((n, 1), 1 / math.sqrt(n)))
+    vals, _, method, _, _ = spectral._solve(A, 1, 4, "auto", 0, False, kernel)
+    assert vals.tolist() == [float(n)] * 4 and method == "twins"
+    vals = spectral._solve(A, 0, 3, "auto", 0, False)[0]
+    np.testing.assert_allclose(vals, [0.0, n, n], atol=1e-12)
 
 
 def test_scaled_coboundary_is_the_two_diagonal_products():
