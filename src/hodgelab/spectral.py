@@ -218,7 +218,7 @@ def _twin_pairs(A, kernel=None):
 
     col, val = mix(np.arange(1, M.shape[1] + 1, dtype=np.uint64))[M.indices], mix(M.data.view(np.uint64))
     off = M.indices != np.repeat(np.arange(n), np.diff(M.indptr))
-    for h in (np.where(off, mix(col ^ val), 0), col + mix(val)):
+    for h in (np.where(off, mix(col ^ val), 0), col + val):
         P, S = proposed(h)
         E = (M[P] - M[S]).tocoo()  # zero outside columns {p, s} exactly where the rows are twins
         outside = (E.data != 0) & (E.col != P[E.row]) & (E.col != S[E.row])

@@ -366,18 +366,20 @@ def test_twin_rows_collapse_to_the_dense_spectrum(monkeypatch, base, classes, pa
 
 
 def test_rows_that_only_hash_alike_are_not_collapsed():
-    """Vertex 230 is a copy of vertex 5, joined to it.  Moving the copy's
-    diagonal by one ulp keeps its hashes and moving one of its entries (and
-    the mirror) by one ulp changes them; swapping two of its entries keeps
-    the hash of adjacent twins, its columns and its multiset of values.  No
-    such row is collapsed, and the values stay those of dense eigvalsh."""
-    A, _ = _planted_twins(0, 230, [(5, 2, 1.0)])
-    P, S, a = spectral._twin_pairs(A)
-    assert P.tolist() == [5] and S.tolist() == [230] and a.tolist() == [A[5, 230]]
-    k, l = [c for c in A[230].indices if c not in (5, 230)][:2]
-    assert A[230, k] != A[230, l]
-    for entries in ({(230, 230): np.nextafter(A[230, 230], np.inf)}, {(230, k): np.nextafter(A[230, k], np.inf)},
-                    {(230, k): A[230, l], (230, l): A[230, k]}):
+    """Vertex 230 is a copy of vertex 5.  With the two apart, moving the
+    copy's diagonal by one ulp keeps the hash of its other entries, and moving
+    one of those (and its mirror) by one ulp changes it.  With the two joined,
+    swapping two entries of the copy keeps the hash of its columns and values.
+    No such row is collapsed, and the values stay those of dense eigvalsh."""
+    apart, joined = (_planted_twins(0, 230, [(5, 2, w)])[0] for w in (0.0, 1.0))
+    for A in (apart, joined):
+        P, S, a = spectral._twin_pairs(A)
+        assert P.tolist() == [5] and S.tolist() == [230] and a.tolist() == [A[5, 230]]
+    k, l = [c for c in joined[230].indices if c not in (5, 230)][:2]
+    assert joined[230, k] != joined[230, l]
+    for A, entries in ((apart, {(230, 230): np.nextafter(apart[230, 230], np.inf)}),
+                       (apart, {(230, k): np.nextafter(apart[230, k], np.inf)}),
+                       (joined, {(230, k): joined[230, l], (230, l): joined[230, k]})):
         B = A.tolil()
         for (i, j), x in entries.items():
             B[i, j] = B[j, i] = x
