@@ -331,8 +331,8 @@ def _planted_twins(seed, base, classes=(), pairs_under=()):
     (u, v), w, m = np.array(list(edges)).T, np.array(list(edges.values())), np.array(m)
     n = len(m)
     degree = np.bincount(np.r_[u, v], weights=np.r_[w, w], minlength=n)
-    A = sp.csr_matrix((np.r_[-w, -w, degree] / np.sqrt(m[np.r_[u, v, np.arange(n)]] * m[np.r_[v, u, np.arange(n)]]),
-                       (np.r_[u, v, np.arange(n)], np.r_[v, u, np.arange(n)])), shape=(n, n))
+    rows, cols = np.r_[u, v, np.arange(n)], np.r_[v, u, np.arange(n)]
+    A = sp.csr_matrix((np.r_[-w, -w, degree] / np.sqrt(m[rows] * m[cols]), (rows, cols)), shape=(n, n))
     return A, sp.csr_matrix(np.sqrt(m / m.sum())[:, None])
 
 
@@ -403,7 +403,7 @@ def test_isolated_vertices_are_not_twins_of_each_other():
 
 def test_a_block_of_twins_leaves_only_its_kernel():
     """Every row of L_0 of the complete graph on 201 vertices is a twin of
-    every other: one class, with the value 201 n - 1 times, and a one-row
+    every other: one class, whose value n = 201 comes n - 1 times, and a one-row
     quotient that holds the kernel alone."""
     n = DENSE_CUTOVER + 1
     A = sp.csr_matrix(n * np.eye(n) - np.ones((n, n)))
