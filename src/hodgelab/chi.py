@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -133,40 +134,40 @@ def _same_table(cx: WeightedComplex, vertices: list, what: str) -> None:
         raise ValueError(f"the {what} was built on another vertex table than the complex's")
 
 
-def _budgeted_cutoff(exh: Exhaustion, N: int, xi_fn, horizon: int) -> tuple[np.ndarray, list, float]:
-    """The divergence-ramp cut-off of plateau index ``N`` over the vertex table
-    of ``exh``, with the ``budget_profile`` (profile, tail sum) it reads."""
-    d = exh.layer
-    profile, tail = budget_profile(xi_fn, N, horizon, int(d.max(initial=0)))
-    return np.where(d >= 0, np.array(profile)[d], 0.0), profile, tail
-
-
-def _cutoff_values(exh: Exhaustion, k: int, ramp) -> np.ndarray:
-    """The plateau cut-off of index ``k`` (see ``make_cutoff_system``) as a
-    read-only float array over the vertex table of ``exh``."""
+def _layer_profile(exh: Exhaustion, k: int, ramp) -> np.ndarray:
+    """The plateau cut-off of index ``k`` (see ``make_cutoff_system``) on the
+    layers 0..top of ``exh``, then 0.0 for the vertices without a layer, so
+    that ``profile[exh.layer]`` is its value on every vertex; read-only."""
     if k < 0:
         raise ValueError(f"the plateau index {k} must be nonnegative")
-    d = exh.layer
+    top = int(exh.layer.max(initial=0))
     kind = ramp[0]
     if kind == "linear":
         width = ramp[1]
         if width <= 0:
             raise ValueError("ramp width must be positive")
         # elementwise, the IEEE operations of the scalar 1.0 - max(0, d - k) / width
-        val = 1.0 - np.maximum(0, d - k) / width
-        chi = np.where((d >= 0) & (val > 0), np.minimum(1.0, val), 0.0)
+        val = 1.0 - np.maximum(0, np.arange(top + 1) - k) / width
+        values = np.where(val > 0, np.minimum(1.0, val), 0.0)
     elif kind == "divergence":
-        chi = _budgeted_cutoff(exh, k, *ramp[1:])[0]
+        values = budget_profile(ramp[1], k, ramp[2], top)[0]
     else:
         raise ValueError(f"unknown ramp kind {kind!r}")
-    chi.setflags(write=False)
-    return chi
+    profile = np.append(values, 0.0)
+    profile.setflags(write=False)
+    return profile
+
+
+def _positive_part(exh: Exhaustion, profile: np.ndarray) -> dict:
+    """``{label: value}`` of the layer profile ``profile`` over the vertices
+    of ``exh`` where it is positive."""
+    return {v: x for v, x in zip(exh.vertices, profile[exh.layer].tolist()) if x > 0}
 
 
 def make_plateau_cutoff(exh: Exhaustion, k: int, ramp) -> dict:
     """The plateau cut-off of index ``k`` (see ``make_cutoff_system``) as
     ``{label: value}`` over the vertices where it is positive."""
-    return {v: x for v, x in zip(exh.vertices, _cutoff_values(exh, k, ramp).tolist()) if x > 0}
+    return _positive_part(exh, _layer_profile(exh, k, ramp))
 
 
 def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[list, float]:
@@ -198,17 +199,19 @@ def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[list, float]:
 
 @dataclass(eq=False)
 class CutoffSystem:
-    """One plateau cut-off per index k, each a read-only float array over the
-    vertex table ``vertices`` of the exhaustion it was built from; ``==`` is
-    identity."""
+    """One plateau cut-off per index k, kept as its read-only layer profile
+    ``profiles[k]``: its values on the layers 0..top of the exhaustion, then
+    0.0 for the vertices without a layer, so that ``profiles[k][layer]`` is
+    the cut-off over the vertex table ``vertices``; ``==`` is identity."""
 
     ks: tuple
-    chis: dict
+    profiles: dict
     ramp: tuple
     vertices: list = field(repr=False)
+    layer: np.ndarray = field(repr=False)
 
     def chi(self, k: int) -> np.ndarray:
-        return self.chis[k]
+        return self.profiles[k][self.layer]
 
 
 def make_cutoff_system(cx: WeightedComplex, exh: Exhaustion, ks: Sequence[int],
@@ -222,12 +225,14 @@ def make_cutoff_system(cx: WeightedComplex, exh: Exhaustion, ks: Sequence[int],
     horizon.
     """
     ks = tuple(ks)
-    chis = {k: _cutoff_values(exh, k, ramp) for k in ks}
+    if not ks:
+        raise ValueError("a cut-off system needs at least one plateau index k, and ks is empty")
+    profiles = {k: _layer_profile(exh, k, ramp) for k in ks}
     # a callable's repr holds a memory address, so it is recorded as a fixed token
     ramp_desc = (ramp[0],) + tuple(
         "<callable>" if callable(x) else (x if isinstance(x, (int, float)) else repr(x))
         for x in ramp[1:])
-    return CutoffSystem(ks=ks, chis=chis, ramp=ramp_desc, vertices=exh.vertices)
+    return CutoffSystem(ks=ks, profiles=profiles, ramp=ramp_desc, vertices=exh.vertices, layer=exh.layer)
 
 
 def energy_functional(cx: WeightedComplex, chi: Mapping | np.ndarray, degree: int):
@@ -268,24 +273,57 @@ def _vertex_array(cx: WeightedComplex, chi: Mapping | np.ndarray) -> np.ndarray:
     return c
 
 
-def _simplex_means(cx: WeightedComplex, c: np.ndarray, degree: int) -> np.ndarray:
-    """Mean of the vertex values ``c`` over each degree-``degree`` simplex,
-    summed exactly (``math.fsum``) before dividing."""
-    rows = c[cx.topology.vertex_index(degree)]
+def _simplex_means(cx: WeightedComplex, c: np.ndarray, degree: int, which=slice(None)) -> np.ndarray:
+    """Mean of the vertex values ``c`` over each degree-``degree`` simplex, or
+    over the simplices ``which`` indexes, summed exactly (``math.fsum``)
+    before dividing."""
+    rows = c[cx.topology.vertex_index(degree)[which]]
     if degree <= 1:
         # the rounded sum of at most two values is the exact sum rounded once
         return rows.sum(axis=1) / (degree + 1)
     return np.array([math.fsum(r) for r in rows.tolist()], dtype=float) / (degree + 1)
 
 
-def _local_energy(cx: WeightedComplex, c: np.ndarray, bar: np.ndarray, degree: int) -> np.ndarray:
+def _local_energy(cx: WeightedComplex, c: np.ndarray, bar: np.ndarray, degree: int,
+                  entries=None) -> np.ndarray:
     """For each degree-``degree`` simplex s with vertex mean ``bar[s]``: the sum
     over coface extensions s+{x} of m(s+{x}) * |c(x) - bar[s]|^2, added in
-    extension order."""
-    j, x, t = cx.topology.extension_coo(degree)
+    extension order; or over ``entries`` only, a subset (j, x, t) of
+    ``extension_coo(degree)`` in its order, with j renumbered to index ``bar``."""
+    j, x, t = cx.topology.extension_coo(degree) if entries is None else entries
     diff = c[x] - bar[j]
     terms = cx.weights[degree + 1][t] * diff * diff
-    return np.bincount(j, weights=terms, minlength=cx.size(degree))
+    return np.bincount(j, weights=terms, minlength=len(bar))
+
+
+def _energy_row(cx: WeightedComplex, cutoffs: CutoffSystem, degree: int) -> list:
+    """``energy_functional(cx, cutoffs.chi(k), degree)[0]`` for each k of
+    ``cutoffs.ks``, bit for bit, from the ramp band: a coface on which the
+    cut-off is constant 0 or 1 adds exactly +0.0 to each bin it reaches (its
+    face's mean is that constant), so only the extension entries of the other
+    cofaces are added, in extension order.  A coface is skipped when the
+    profile is constant 0 or 1 over the layers lo..hi of its vertices, which a
+    table over k and the distinct (lo, hi) pairs reads off change counts."""
+    base = degree - 1
+    j, x, t = cx.topology.extension_coo(base)
+    P = np.array([cutoffs.profiles[k] for k in cutoffs.ks])
+    slots = np.where(cutoffs.layer >= 0, cutoffs.layer, P.shape[1] - 1)
+    key = slots[cx.topology.vertex_index(degree)]
+    key = key.min(axis=1) * P.shape[1] + key.max(axis=1)
+    pairs = np.unique(key)
+    pair_of = np.searchsorted(pairs, key)
+    lo, hi = np.divmod(pairs, P.shape[1])
+    changes = np.cumsum(np.c_[np.zeros(len(P), dtype=bool), P[:, 1:] != P[:, :-1]], axis=1)
+    flat = ((P[:, lo] == 0) | (P[:, lo] == 1)) & (changes[:, hi] == changes[:, lo])
+    row = []
+    for profile, band in zip(P, ~flat):
+        keep = np.flatnonzero(band[pair_of][t])
+        faces, inv = np.unique(j[keep], return_inverse=True)
+        c = profile[slots]
+        bar = _simplex_means(cx, c, base, faces)
+        val = _local_energy(cx, c, bar, base, (inv, x[keep], t[keep])) / cx.weights[base][faces]
+        row.append(float(val.max()) if val.size and val.max() > 0 else 0.0)
+    return row
 
 
 def classify_entries(entries: Sequence[float], atol: float = VERDICT_ATOL,
@@ -351,8 +389,7 @@ def _profile(cx: WeightedComplex, cutoffs: CutoffSystem, degrees: Sequence[int],
     ks = cutoffs.ks
 
     # degree 0 is vacuous: no lower structure to normalize by
-    table = [[energy_functional(cx, cutoffs.chi(k), d)[0] if d else 0.0 for k in ks]
-             for d in degrees]
+    table = [_energy_row(cx, cutoffs, d) if d else [0.0] * len(ks) for d in degrees]
     row_verdicts = {d: classify_entries(table[r]) for r, d in enumerate(degrees)}
     if any(v == GROWING for v in row_verdicts.values()):
         verdict = GROWING
@@ -409,7 +446,7 @@ class CouplingReport:
 def coupling_block(cx: WeightedComplex, region: Iterable) -> CouplingReport:
     """The block C of D = [[D_in, C], [C*, D_out]], split by region membership
     of simplices, and its singular values."""
-    region = set(region)
+    region = region if isinstance(region, Set) else set(region)
     D = gauss_bonnet_matrix(cx).tocsr()
     inside = np.array([v in region for v in cx.topology.vertices], dtype=bool)
     # per degree, how many vertices of each simplex lie in the region

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -432,7 +433,7 @@ def _kept(cx: WeightedComplex, listed: Mapping[int, np.ndarray]) -> tuple[Topolo
 
 def induced_subcomplex(cx: WeightedComplex, region: Iterable[Vertex]) -> WeightedComplex:
     """Keep exactly the simplices with all vertices inside ``region``."""
-    region = set(region)
+    region = region if isinstance(region, Set) else set(region)
     if not region:
         raise ValueError("empty region")
     top, weights = _kept(cx, {0: np.array([v in region for v in cx.topology.vertices], dtype=bool)})

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chi import Exhaustion, _budgeted_cutoff, _same_table, _vertex_array, leibniz_remainder, make_ball_exhaustion
+from .chi import Exhaustion, _positive_part, _same_table, _vertex_array, budget_profile, leibniz_remainder, make_ball_exhaustion
 from .complexes import WeightedComplex
 from .operators import norm
 
@@ -243,8 +243,8 @@ def divergence_cutoffs(layers: LayerDecomposition, xi, N: int, horizon: int):
     positive, and the layer profile of ``budget_profile`` with its tail.
     """
     fn = _as_xi_fn(xi)
-    values, profile, tail = _budgeted_cutoff(layers, N, fn, horizon)
-    chi = {v: x for v, x in zip(layers.vertices, values.tolist()) if x > 0}
+    profile, tail = budget_profile(fn, N, horizon, int(layers.layer.max(initial=0)))
+    chi = _positive_part(layers, np.append(profile, 0.0))
     info = {
         "N": N,
         "horizon": horizon,

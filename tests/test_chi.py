@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hodgelab import Cochain, WeightedGraph, build_clique_complex, drop_simplice
 from hodgelab.complexes import reweighted
 from hodgelab.chi import (
     BOUNDED_ON_RANGE,
+    Exhaustion,
     GROWING,
     INCONCLUSIVE,
     budget_profile,
@@ -27,6 +29,7 @@ from hodgelab.generators import (
     gen_perturbed_lattice,
     gen_truncated_tree,
     lattice_cube,
+    radial_weighting,
 )
 from hodgelab.operators import coboundary_apply, random_cochain
 
@@ -175,6 +178,54 @@ def test_cutoff_arrays_equal_the_scalar_formula(case):
             assert energy_functional(cx, mapping, degree) == energy_functional(cx, values, degree)
 
 
+def _assert_rows_are_energy_functional(cx, cutoffs, profiles):
+    for prof in profiles:
+        for degree, row in zip(prof.degrees, prof.table):
+            want = [energy_functional(cx, cutoffs.chi(k), degree)[0] if degree else 0.0 for k in cutoffs.ks]
+            assert [x.hex() for x in row] == [x.hex() for x in want]
+
+
+@given(weighted_complexes_with_cutoffs(), st.data())
+def test_energy_rows_are_the_energy_functional_bit_for_bit(case, data):
+    """The ramp-band rows of ``check_global_chi`` and ``check_level_chi``
+    against one ``energy_functional`` call per k: the drawn k lists repeat a k
+    and are often unsorted, and half the exhaustions are arbitrary layer
+    arrays, so a coface can span layers far apart or a vertex without one."""
+    cx, _, exh, _, ramp = case
+    if data.draw(st.booleans()):
+        n = len(cx.topology.vertices)
+        exh = Exhaustion(cx.topology.vertices, data.draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)))
+    top_k = 6 if ramp[0] == "linear" else ramp[2] - 1
+    ks = data.draw(st.lists(st.integers(0, top_k), min_size=1, max_size=6))
+    cutoffs = make_cutoff_system(cx, exh, ks + ks[:1], ramp)
+    level = data.draw(st.integers(0, cx.max_degree))
+    _assert_rows_are_energy_functional(
+        cx, cutoffs, [check_global_chi(cx, cutoffs), check_level_chi(cx, cutoffs, level)])
+
+
+def test_energy_rows_on_the_radially_weighted_lattice_are_the_energy_functional():
+    cx = radial_weighting(gen_lattice(2, 2, 30), {(0, 0)}, 1.5)
+    cutoffs = make_cutoff_system(cx, make_ball_exhaustion(cx, {(0, 0)}, 21), range(2, 22), ("linear", 1))
+    prof = check_global_chi(cx, cutoffs)
+    assert all(x > 0 for row in prof.table for x in row)
+    _assert_rows_are_energy_functional(cx, cutoffs, [prof])
+
+
+def test_a_coface_constant_off_0_and_1_stays_in_the_band(K4):
+    """On a tetrahedron whose vertices all read 2/3, the exactly summed mean
+    of a triangle rounds off 2/3, so degree 3 carries energy by rounding."""
+    cutoffs = make_cutoff_system(K4, Exhaustion(K4.topology.vertices, [1, 1, 1, 1]), [0], ("linear", 3))
+    prof = check_global_chi(K4, cutoffs)
+    assert prof.table[2][0] > 0
+    _assert_rows_are_energy_functional(K4, cutoffs, [prof])
+
+
+def test_an_empty_k_list_is_refused(K4):
+    exh = make_ball_exhaustion(K4, {"a"}, 3)
+    with pytest.raises(ValueError, match="ks is empty"):
+        make_cutoff_system(K4, exh, [])
+
+
 def test_vertex_function_of_the_wrong_length_is_refused(K4):
     with pytest.raises(ValueError, match="vertex function has length 3, the complex has 4 vertices"):
         energy_functional(K4, np.ones(3), 1)
@@ -302,6 +353,29 @@ def test_coupling_block_perturbed_lattice_rank_oracle():
     assert rep.cross_simplices > 0
     assert rep.sigma_max > 0
     assert rep.label == "finite-truncation evidence"
+
+
+def test_a_lazy_region_gives_the_reports_of_its_plain_set():
+    cx = gen_lattice(2, 2, 2)
+    cube = lattice_cube(3, 2, (1, 0))
+    rep = coupling_block(cx, cube)
+    assert rep == coupling_block(cx, set(cube)) and rep.cross_simplices > 0
+    lazy, plain = induced_subcomplex(cx, cube), induced_subcomplex(cx, set(cube))
+    assert lazy.simplices == plain.simplices and lazy.meta == plain.meta
+    assert all(np.array_equal(a, b) for a, b in zip(lazy.weights, plain.weights))
+
+
+@pytest.mark.parametrize("split", [coupling_block, induced_subcomplex])
+def test_a_large_lazy_region_is_never_stored(split):
+    cx = gen_lattice(2, 2, 2)
+    cube = lattice_cube(1000, 2)
+    tracemalloc.start()
+    try:
+        split(cx, cube)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_leibniz_trivial_cases(K4):
