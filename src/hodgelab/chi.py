@@ -281,7 +281,9 @@ def _simplex_means(cx: WeightedComplex, c: np.ndarray, degree: int, which=slice(
     if degree <= 1:
         # the rounded sum of at most two values is the exact sum rounded once
         return rows.sum(axis=1) / (degree + 1)
-    return np.array([math.fsum(r) for r in rows.tolist()], dtype=float) / (degree + 1)
+    means = np.array([math.fsum(r) for r in rows.tolist()], dtype=float) / (degree + 1)
+    # three copies of 1 - 1/3 = 0.6666666666666667 sum to 2.0, whose third rounds lower
+    return np.where((rows == rows[:, :1]).all(axis=1), rows[:, 0], means)
 
 
 def _local_energy(cx: WeightedComplex, c: np.ndarray, bar: np.ndarray, degree: int,
@@ -298,54 +300,47 @@ def _local_energy(cx: WeightedComplex, c: np.ndarray, bar: np.ndarray, degree: i
 
 def _energy_row(cx: WeightedComplex, cutoffs: CutoffSystem, degree: int) -> list:
     """``energy_functional(cx, cutoffs.chi(k), degree)[0]`` for each k of
-    ``cutoffs.ks``, bit for bit, from the ramp band: a coface on which the
-    cut-off is constant 0 or 1 adds exactly +0.0 to each bin it reaches (its
-    face's mean is that constant), so only the extension entries of the other
-    cofaces are added, in extension order.  A coface is skipped when the
-    profile is constant 0 or 1 over the layers lo..hi of its vertices, which a
-    table over k and the distinct (lo, hi) pairs reads off change counts."""
+    ``cutoffs.ks``, bit for bit, from the ramp band: a coface whose vertex
+    values are all equal adds exactly +0.0 to each bin it reaches (its face's
+    mean is that value), so only the extension entries of the other cofaces
+    are added, in extension order."""
     base = degree - 1
     j, x, t = cx.topology.extension_coo(base)
-    P = np.array([cutoffs.profiles[k] for k in cutoffs.ks])
-    slots = np.where(cutoffs.layer >= 0, cutoffs.layer, P.shape[1] - 1)
-    key = slots[cx.topology.vertex_index(degree)]
-    key = key.min(axis=1) * P.shape[1] + key.max(axis=1)
-    pairs = np.unique(key)
-    pair_of = np.searchsorted(pairs, key)
-    lo, hi = np.divmod(pairs, P.shape[1])
-    changes = np.cumsum(np.c_[np.zeros(len(P), dtype=bool), P[:, 1:] != P[:, :-1]], axis=1)
-    flat = ((P[:, lo] == 0) | (P[:, lo] == 1)) & (changes[:, hi] == changes[:, lo])
+    first, *rest = cx.topology.vertex_index(degree).T
     row = []
-    for profile, band in zip(P, ~flat):
-        keep = np.flatnonzero(band[pair_of][t])
+    for k in cutoffs.ks:
+        c = cutoffs.chi(k)
+        head, band = c[first], np.zeros(len(first), dtype=bool)
+        for column in rest:
+            band |= c[column] != head
+        keep = np.flatnonzero(band[t])
         faces, inv = np.unique(j[keep], return_inverse=True)
-        c = profile[slots]
         bar = _simplex_means(cx, c, base, faces)
         val = _local_energy(cx, c, bar, base, (inv, x[keep], t[keep])) / cx.weights[base][faces]
         row.append(float(val.max()) if val.size and val.max() > 0 else 0.0)
     return row
 
 
-def classify_entries(entries: Sequence[float], atol: float = VERDICT_ATOL,
-                     rtol: float = VERDICT_RTOL, streak: int = GROWTH_STREAK) -> str:
+def classify_entries(entries: Sequence[float]) -> str:
     """Three-valued verdict for one energy row over increasing k.
 
-    GROWING: the row ends in >= ``streak`` strictly increasing entries (with
-    margin).  BOUNDED_ON_RANGE: the max is attained before the range end and
-    entries never increase afterwards (within ``atol``).  Otherwise
-    INCONCLUSIVE.  A finite range supports or refutes, it never proves.
+    GROWING: the row ends in >= GROWTH_STREAK strictly increasing entries
+    (with margin).  BOUNDED_ON_RANGE: the max is attained before the range
+    end and entries never increase afterwards (within VERDICT_ATOL).
+    Otherwise INCONCLUSIVE.  A finite range supports or refutes, it never
+    proves.
     """
     e = list(entries)
     if len(e) < 2:
         return INCONCLUSIVE
     run = 1
     for a, b in zip(e, e[1:]):
-        run = run + 1 if b > a + max(atol, rtol * abs(a)) else 1
-    if run >= streak:
+        run = run + 1 if b > a + max(VERDICT_ATOL, VERDICT_RTOL * abs(a)) else 1
+    if run >= GROWTH_STREAK:
         return GROWING
     imax = int(np.argmax(e))
     if imax < len(e) - 1:
-        tail_ok = all(b <= a + atol for a, b in zip(e[imax:], e[imax + 1:]))
+        tail_ok = all(b <= a + VERDICT_ATOL for a, b in zip(e[imax:], e[imax + 1:]))
         if tail_ok:
             return BOUNDED_ON_RANGE
     return INCONCLUSIVE

@@ -95,12 +95,6 @@ def _emit(args, result: dict) -> None:
     _write(args, _dumps(report) + "\n")
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 # --- commands ---------------------------------------------------------------
 
 def cmd_generate(args) -> int:
@@ -230,13 +224,13 @@ def cmd_divergence(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cx = _load_complex(args.input)
-    rep = spectral.spectrum(cx, args.degree, args.how_many, args.method, seed=args.seed)
+    rep = spectral.spectrum(cx, args.degree, args.how_many, seed=args.seed)
     if args.format == "csv":
         lines = ["degree,eigenvalue_rank,value"]
         rank = 0
         for v, m in zip(rep.eigenvalues, rep.multiplicities):
             for _ in range(m):
-                lines.append(f"{rep.degree},{rank},{_csv_cell(float(v))}")
+                lines.append(f"{rep.degree},{rank},{float(v):.17g}")
                 rank += 1
         _write(args, "\n".join(lines) + "\n")
         return 0
@@ -275,7 +269,7 @@ def cmd_sweep(args) -> int:
                 continue
             for d, vals in sorted(row["smallest_eigenvalues"].items(), key=lambda kv: int(kv[0])):
                 for rank, v in enumerate(vals):
-                    lines.append(f"{row['depth']},{d},{rank},{_csv_cell(float(v))}")
+                    lines.append(f"{row['depth']},{d},{rank},{float(v):.17g}")
         _write(args, "\n".join(lines) + "\n")
         return 0
     _emit(args, table)
@@ -345,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True)
     s.add_argument("--degree", type=int, required=True)
     s.add_argument("--how-many", dest="how_many", type=int, default=6)
-    s.add_argument("--method", choices=("auto", "dense", "iterative"), default="auto")
     spectral_common(s)
 
     h = sub.add_parser("hodge", help="orthogonal splitting at one degree")

@@ -52,6 +52,7 @@ ITERATION_BUDGET = 10_000
 STACK_ENTRIES = 1 << 20  # the most matrix entries in one batched eigvalsh stack
 SHIFT = -1e-3  # shift-invert below the spectrum, so that A - SHIFT is definite
 KERNEL_THRESH = 1e-8
+BOUNDARY_FACTOR = 1e-3  # the weight scale of the boundary-down variant
 
 
 @dataclass
@@ -84,14 +85,33 @@ def _group_multiplicities(vals, tol=1e-8):
     return eigenvalues, mult
 
 
-def spectrum(cx: WeightedComplex, degree: int, how_many: int = 6,
-             method: str = "auto", seed: int = 0) -> SpectrumReport:
-    """Smallest eigenvalues of the degree block, dense below the cutover; the
-    first min(beta_i, how_many), beta_i from ``Topology.betti``, are 0.0.  At
+def spectrum(cx: WeightedComplex, degree: int, how_many: int = 6, seed: int = 0) -> SpectrumReport:
+    """Smallest eigenvalues of the degree block and their residuals; the first
+    min(beta_i, how_many), beta_i from ``Topology.betti``, are 0.0.  At
     degree 0 ker L_0 (sqrt(m0) on each component) is projected out, and with
     nothing left to solve the method is "kernel"; at degree i >= 1 the solve
     finds the zero pairs too, and their residuals are taken against 0.0."""
-    return _spectrum(cx, degree, how_many, method, seed, vectors=True)
+    _check_degree(cx, degree)
+    _check_how_many(how_many)
+    dim = cx.size(degree)
+    if dim == 0:
+        return SpectrumReport(degree, [], [], "empty", [])
+    how_many = min(how_many, dim)
+    zeros = min(cx.topology.betti[degree], how_many)
+    kernel = None if degree else _kernel_basis(cx)
+    skip = 0 if degree else zeros  # with no kernel basis the solve finds the zero pairs too
+    A = symmetrized_laplacian(cx, degree)
+    if skip == how_many:
+        method, vals, vecs, converged, message = "kernel", np.zeros(0), np.zeros((dim, 0)), True, ""
+    else:
+        vals, vecs, method, converged, message = _solve_block(A, skip, how_many - skip, seed, True, kernel)
+    vals = np.r_[np.zeros(skip), vals]
+    vals[:zeros] = 0.0
+    if kernel is not None:
+        vecs = np.column_stack([kernel[:, :zeros].toarray(), vecs])
+    residuals = [float(np.linalg.norm(A @ v - lam * v)) for lam, v in zip(vals, vecs.T)]
+    eigenvalues, mult = _group_multiplicities(vals)
+    return SpectrumReport(degree, eigenvalues, mult, method, residuals, converged, message)
 
 
 def _check_how_many(how_many: int) -> None:
@@ -99,46 +119,17 @@ def _check_how_many(how_many: int) -> None:
         raise ValueError(f"how_many = {how_many} must be at least 1")
 
 
-def _spectrum(cx, degree, how_many, method, seed, vectors) -> SpectrumReport:
-    """The one-block solve of spectrum and kernel_probe; eigenvectors only if ``vectors``."""
-    _check_degree(cx, degree)
-    _check_how_many(how_many)
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    dim = cx.size(degree)
-    if dim == 0:
-        return SpectrumReport(degree, [], [], "empty", [])
-    how_many = min(how_many, dim)
-    zeros = min(cx.topology.betti[degree], how_many)
-    kernel = None if degree else _kernel_basis(cx)
-    skip = 0 if vectors and degree else zeros  # with no kernel basis the solve finds the zero pairs too
-    A = symmetrized_laplacian(cx, degree) if vectors or skip < how_many else None
-    if skip == how_many:
-        method, vals, vecs, converged, message = "kernel", np.zeros(0), np.zeros((dim, 0)), True, ""
-    else:
-        vals, vecs, method, converged, message = _solve(A, skip, how_many - skip, method, seed,
-                                                        vectors, kernel)
-    vals, residuals = np.r_[np.zeros(skip), vals], []
-    vals[:zeros] = 0.0
-    if vectors:
-        if kernel is not None:
-            vecs = np.column_stack([kernel[:, :zeros].toarray(), vecs])
-        residuals = [float(np.linalg.norm(A @ v - lam * v)) for lam, v in zip(vals, vecs.T)]
-    eigenvalues, mult = _group_multiplicities(vals)
-    return SpectrumReport(degree, eigenvalues, mult, method, residuals, converged, message)
-
-
-def _solve(A, skip: int, count: int, method: str, seed: int, vectors: bool, kernel=None):
+def _solve(A, skip: int, count: int, seed: int, kernel=None):
     """Eigenvalues skip .. skip+count-1 of the symmetric PSD matrix ``A``,
-    ascending, as (values, vectors or None, method, converged, message).
-    Above the cutover with no vectors, a direct sum with no kernel basis is
-    solved one component at a time, any other block by ``_solve_twins``."""
-    if method == "auto" and not vectors and A.shape[0] > DENSE_CUTOVER:
+    ascending, as (values, None, method, converged, message).  Above the
+    cutover, a direct sum with no kernel basis is solved one component at a
+    time, any other block by ``_solve_twins``."""
+    if A.shape[0] > DENSE_CUTOVER:
         ncomp, labels = connected_components(A, directed=False) if kernel is None else (1, None)
         if ncomp > 1:
             return _solve_components(A, labels, skip, count, seed)
         return _solve_twins(A, skip, count, seed, kernel)
-    return _solve_block(A, skip, count, method, seed, vectors, kernel)
+    return _solve_block(A, skip, count, seed, False, kernel)
 
 
 def _solve_components(A, labels: np.ndarray, skip: int, count: int, seed: int):
@@ -192,7 +183,7 @@ def _solve_twins(A, skip: int, count: int, seed: int, kernel=None):
         kernel = None if kernel is None else sp.csr_matrix(kernel[reps].multiply(np.sqrt(t)[:, None]))
     low = skip if kernel is not None else 0  # with no kernel basis, twin values may lie below skip
     want = min(skip + count, A.shape[0]) - low
-    vals, _, method, converged, message = (_solve_block(A, low, want, "auto", seed, False, kernel) if want
+    vals, _, method, converged, message = (_solve_block(A, low, want, seed, False, kernel) if want
                                            else (np.zeros(0), None, "twins", True, ""))
     return np.sort(np.concatenate([vals, *twins]))[skip - low:skip - low + count], None, method, converged, message
 
@@ -229,9 +220,10 @@ def _twin_pairs(A, kernel=None):
     return P, S, np.asarray(A.tocsr()[P, S]).ravel()
 
 
-def _solve_block(A, skip: int, count: int, method: str, seed: int, vectors: bool, kernel=None):
-    """``_solve`` on one block: dense ``eigh`` below the cutover and
-    shift-invert ``eigsh`` above it.
+def _solve_block(A, skip: int, count: int, seed: int, vectors: bool, kernel=None):
+    """Eigenpairs skip .. skip+count-1 of one block, vectors only if
+    ``vectors``: dense ``eigh`` up to max(DENSE_CUTOVER, skip + count + 1)
+    rows (ARPACK needs k < dim) and shift-invert ``eigsh`` above.
 
     ``kernel``, an orthonormal basis of the lowest ``skip`` eigenvectors, is
     projected out before and after each LU solve; without it the iterative
@@ -241,15 +233,11 @@ def _solve_block(A, skip: int, count: int, method: str, seed: int, vectors: bool
     (``_count_below``); while that count exceeds what it found, it projects
     out the vectors found as well and solves for the missing values."""
     dim = A.shape[0]
-    if method == "auto":
-        method = "dense" if dim <= DENSE_CUTOVER else "iterative"
-    if method == "iterative" and dim <= skip + count + 1:
-        method = "dense"  # ARPACK needs k < dim
-    if method == "dense":
+    if dim <= max(DENSE_CUTOVER, skip + count + 1):
         out = scipy.linalg.eigh(A.toarray(), eigvals_only=not vectors,
                                 subset_by_index=[skip, skip + count - 1])
         vals, vecs = out if vectors else (out, None)
-        return vals, vecs, method, True, ""
+        return vals, vecs, "dense", True, ""
     converged, message = True, ""
     v0 = np.random.default_rng(seed).standard_normal(dim)
     lu = spla.splu((A - SHIFT * sp.identity(dim)).tocsc())
@@ -281,7 +269,7 @@ def _solve_block(A, skip: int, count: int, method: str, seed: int, vectors: bool
         # a round that brings no value into the window ends the search
         progress = converged and (order >= entered).any()
         want = min(_missed(A, vals, skip, drop), drop + count) if progress else 0
-    return vals[drop:], (vecs[:, drop:] if vectors else None), method, converged, message
+    return vals[drop:], (vecs[:, drop:] if vectors else None), "iterative", converged, message
 
 
 def _missed(A, vals: np.ndarray, skip: int, drop: int) -> int:
@@ -348,13 +336,13 @@ def _hodge_spectra(cx: WeightedComplex, how_many: int, seed: int) -> list[np.nda
     for i in range(n - 1, 0, -1):
         count, c, above = min(how_many, ranks[i + 1]), 1.0, S[i + 1][:1]
         while count:
-            S[i] = _solve(_lifted_block(cx, i, c), betti[i + 1], count, "auto", seed, False)[0]
+            S[i] = _solve(_lifted_block(cx, i, c), betti[i + 1], count, seed)[0]
             if not (above.size and S[i].size) or S[i][-1] < c * above[0]:
                 break
             c = 2.0 * S[i][-1] / above[0]
     if ranks[1]:
-        S[0] = _solve(symmetrized_laplacian(cx, 0), betti[0], min(how_many, ranks[1]), "auto", seed,
-                      False, _kernel_basis(cx))[0]
+        S[0] = _solve(symmetrized_laplacian(cx, 0), betti[0], min(how_many, ranks[1]), seed,
+                      _kernel_basis(cx))[0]
     rows = []
     for i in range(n + 1):
         zeros = min(betti[i], how_many)
@@ -427,10 +415,13 @@ def kernel_probe(cx: WeightedComplex, degree: int, shift: complex = 1j,
     With L PSD and shift = +-i this is sqrt(lambda_min^2 + 1) >= 1 at every
     finite truncation; deviations below 1 would signal a broken assembly, not
     spectral behaviour at infinity.  Where beta_i >= 1, lambda_min is a counted
-    zero, so the probe is exactly 1 and assembles nothing."""
+    zero, so the probe is exactly 1 and assembles nothing, as on an empty block."""
     if shift not in (1j, -1j):
         raise ValueError("shift must be +i or -i")
-    return _shifted_sigma_min(_spectrum(cx, degree, 1, "auto", seed, vectors=False).eigenvalues)
+    _check_degree(cx, degree)
+    if cx.size(degree) == 0 or cx.topology.betti[degree]:
+        return 1.0
+    return _shifted_sigma_min(_solve(symmetrized_laplacian(cx, degree), 0, 1, seed)[0])
 
 
 def _shifted_sigma_min(eigenvalues) -> float:
@@ -442,7 +433,7 @@ def _shifted_sigma_min(eigenvalues) -> float:
     return math.sqrt(lam * lam + 1.0)
 
 
-def boundary_weight_down(cx: WeightedComplex, factor: float = 1e-3) -> WeightedComplex:
+def boundary_weight_down(cx: WeightedComplex, factor: float = BOUNDARY_FACTOR) -> WeightedComplex:
     """Scale the weights of simplices touching the outermost layer by ``factor``.
 
     The outermost layer is the set of vertices at maximal graph distance from
@@ -470,8 +461,7 @@ def _sig12(x: float) -> float:
 
 
 def esa_sweep(off_spec, depths, tet_parity: int = 0, how_many: int = 4,
-              guard: int = 10 ** 6, seed: int = 0,
-              boundary_factor: float = 1e-3) -> dict:
+              guard: int = 10 ** 6, seed: int = 0) -> dict:
     """Depth-indexed table of spectral diagnostics for one growth family.
 
     Each row takes the spectra of its complex and of the boundary-down copy
@@ -503,7 +493,7 @@ def esa_sweep(off_spec, depths, tet_parity: int = 0, how_many: int = 4,
             continue
         cx = offspring_tree_family(off_spec, depth, tet_parity)
         values = _hodge_spectra(cx, how_many, seed)
-        down = _hodge_spectra(boundary_weight_down(cx, boundary_factor), 1, seed)
+        down = _hodge_spectra(boundary_weight_down(cx), 1, seed)
         # L is real PSD, so sigma_min(L + i) = sigma_min(L - i) = sqrt(l_min^2 + 1)
         probes = {str(d): _sig12(_shifted_sigma_min(v)) for d, v in enumerate(values)}
         row.update(
@@ -522,7 +512,7 @@ def esa_sweep(off_spec, depths, tet_parity: int = 0, how_many: int = 4,
         "family": {"off": str(off_spec), "tet_parity": tet_parity},
         "seed": seed,
         "guard": guard,
-        "boundary_factor": boundary_factor,
+        "boundary_factor": BOUNDARY_FACTOR,
         "label": "finite-truncation evidence",
         "rows": rows,
     }

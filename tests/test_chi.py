@@ -81,9 +81,12 @@ def test_plateau_cutoff_divergence_profile():
 def test_energy_functional_constant_is_zero(K4):
     ones = {v: 1.0 for v in K4.topology.vertices}
     zeros = {}
+    # 0.6666666666666667, whose three copies sum to 2.0, whose third rounds lower
+    thirds = {v: 1 - 1 / 3 for v in K4.topology.vertices}
     for degree in (1, 2, 3):
         assert energy_functional(K4, ones, degree)[0] == 0.0
         assert energy_functional(K4, zeros, degree)[0] == 0.0
+        assert energy_functional(K4, thirds, degree) == (0.0, None)
 
 
 def test_energy_functional_line_closed_form():
@@ -211,12 +214,14 @@ def test_energy_rows_on_the_radially_weighted_lattice_are_the_energy_functional(
     _assert_rows_are_energy_functional(cx, cutoffs, [prof])
 
 
-def test_a_coface_constant_off_0_and_1_stays_in_the_band(K4):
-    """On a tetrahedron whose vertices all read 2/3, the exactly summed mean
-    of a triangle rounds off 2/3, so degree 3 carries energy by rounding."""
+def test_a_coface_constant_off_0_and_1_adds_no_energy(K4):
+    """On a tetrahedron whose vertices all read 1 - 1/3, the exactly summed
+    mean of a triangle would round off that value; a constant face's mean is
+    its value, so no degree carries energy."""
     cutoffs = make_cutoff_system(K4, Exhaustion(K4.topology.vertices, [1, 1, 1, 1]), [0], ("linear", 3))
     prof = check_global_chi(K4, cutoffs)
-    assert prof.table[2][0] > 0
+    assert prof.table == [[0.0]] * 3
+    assert energy_functional(K4, cutoffs.chi(0), 3) == (0.0, None)
     _assert_rows_are_energy_functional(K4, cutoffs, [prof])
 
 

@@ -4,13 +4,14 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hodgelab import cli
+from hodgelab import cli, spectral
 from hodgelab.cli import main
 from hodgelab.complexes import complex_from_json, complex_to_json
-from hodgelab.generators import gen_lattice
+from hodgelab.generators import estimate_offspring_tree_size, gen_lattice, gen_truncated_tree
 
 from conftest import k3_description
 
@@ -38,6 +39,16 @@ def test_generate_offspring_tree(tmp_path, capsys):
                      "--depth", "4", "--output", str(out))
     assert code == 0
     assert complex_from_json(json.loads(out.read_text())).max_degree == 3
+
+
+def test_generate_truncated_tree(tmp_path, capsys):
+    out = tmp_path / "tree.json"
+    code, _, err = run(capsys, "generate", "--kind", "tree", "--n-tri", "2", "--depth", "4",
+                       "--output", str(out))
+    assert code == 0
+    cx = gen_truncated_tree(2, 4)
+    assert json.loads(out.read_text()) == json.loads(json.dumps(complex_to_json(cx)))
+    assert err.strip() == "counts: " + " ".join(f"|P_{i}|={c}" for i, c in enumerate(cx.counts()))
 
 
 def test_generate_roundtrip_identity(tmp_path, capsys):
@@ -226,6 +237,33 @@ def test_hodge_command(tmp_path, capsys):
     assert rep["result"]["orthogonality_residual"] <= 1e-10
 
 
+def _read_coordinate_text(path):
+    """The dense matrix of a file that ``export_coordinate_text`` wrote."""
+    header, *lines = path.read_text().splitlines()
+    rows, cols, nnz = map(int, header.split())
+    assert nnz == len(lines)
+    B = np.zeros((rows, cols))
+    for line in lines:
+        r, c, v = line.split()
+        B[int(r) - 1, int(c) - 1] = float(v)
+    return B
+
+
+def test_hodge_exports_bases_orthonormal_in_the_weighted_inner_product(tmp_path, capsys):
+    cx_path, prefix = tmp_path / "cx.json", tmp_path / "basis"
+    run(capsys, "generate", "--kind", "alternating", "--radius", "2", "--output", str(cx_path))
+    code, out, _ = run(capsys, "hodge", "--input", str(cx_path), "--degree", "1",
+                       "--export-basis", str(prefix))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert all(result["dims"])
+    m = complex_from_json(json.loads(cx_path.read_text())).weights[1]
+    for name, dim in zip(("im_d", "ker", "im_delta"), result["dims"]):
+        B = _read_coordinate_text(tmp_path / f"basis.{name}.txt")
+        assert B.shape == (result["table_size"], dim)
+        np.testing.assert_allclose(B.T @ (m[:, None] * B), np.eye(dim), atol=1e-10)
+
+
 def test_sweep_csv_and_json(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--off", "n^2", "--depths", "4..5",
                        "--how-many", "2", "--format", "csv")
@@ -237,6 +275,20 @@ def test_sweep_csv_and_json(tmp_path, capsys):
                      "--how-many", "2", "--output", str(out_json))
     rep = json.loads(out_json.read_text())
     assert [r["depth"] for r in rep["result"]["rows"]] == [4, 5]
+
+
+def test_sweep_csv_leaves_out_refused_rows(monkeypatch, capsys):
+    """Depth 7 of n^2 is estimated above the guard of 10^6 simplices, so it
+    is refused and nothing is built for it."""
+    assert estimate_offspring_tree_size("n^2", 7, 0) == 3_199_797
+    built, family = [], spectral.offspring_tree_family
+    monkeypatch.setattr(spectral, "offspring_tree_family",
+                        lambda off, depth, parity: built.append(depth) or family(off, depth, parity))
+    code, out, _ = run(capsys, "sweep", "--off", "n^2", "--depths", "4,7", "--format", "csv")
+    assert code == 0 and built == [4]
+    header, *lines = out.strip().splitlines()
+    assert header == "depth,degree,eigenvalue_rank,value"
+    assert lines and all(line.startswith("4,") for line in lines)
 
 
 def test_sweep_at_depth_zero_is_the_one_vertex_row(capsys):

@@ -158,6 +158,13 @@ def test_json_roundtrip_lattice():
         assert np.allclose(back.weights[i], cx.weights[i])
 
 
+def test_json_description_drops_meta_values_that_are_not_json(K3):
+    cx = reweighted(K3, K3.weights, meta={"alpha": 1.5, "roots": {"a"}})
+    meta = complex_to_json(cx)["meta"]
+    assert meta["alpha"] == 1.5 and "roots" not in meta
+    assert complex_from_json(json.loads(json.dumps(complex_to_json(cx)))).meta == meta
+
+
 def test_json_roundtrip_preserves_dropped_simplices(K3, hollow_triangle):
     doc = json.loads(json.dumps(complex_to_json(hollow_triangle)))
     back = complex_from_json(doc)

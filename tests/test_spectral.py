@@ -74,10 +74,11 @@ def test_spectrum_writes_the_counted_zeros_as_zero(make, degree, beta):
     assert rep.eigenvalues == [0.0] and rep.multiplicities == [1]
 
 
-def test_dense_and_iterative_agree():
+def test_dense_and_iterative_agree(monkeypatch):
     cx = gen_lattice(2, 2, 6)  # 169 vertices
-    dense = spectrum(cx, 0, how_many=4, method="dense")
-    iterative = spectrum(cx, 0, how_many=4, method="iterative", seed=0)
+    dense = spectrum(cx, 0, how_many=4)
+    monkeypatch.setattr(spectral, "DENSE_CUTOVER", 0)
+    iterative = spectrum(cx, 0, how_many=4, seed=0)
     a = np.repeat(dense.eigenvalues, dense.multiplicities)[:4]
     b = np.repeat(iterative.eigenvalues, iterative.multiplicities)[:4]
     assert np.max(np.abs(a - b)) <= 1e-8
@@ -99,7 +100,7 @@ def _oracle_block(cx, degree):
 def test_auto_route_matches_dense_oracle(off, depth, degree):
     """Blocks on both sides of DENSE_CUTOVER (511, 935, 510, 85 and 1855 rows)."""
     cx = offspring_tree_family(off, depth)
-    rep = spectrum(cx, degree, how_many=4, method="auto")
+    rep = spectrum(cx, degree, how_many=4)
     assert rep.method == ("dense" if cx.size(degree) <= DENSE_CUTOVER else "iterative")
     assert rep.converged
     ref = np.linalg.eigvalsh(_oracle_block(cx, degree))[:4]
@@ -113,12 +114,12 @@ def test_auto_route_matches_dense_oracle(off, depth, degree):
     assert rep.multiplicities == np.diff(np.r_[0, breaks, len(ref)]).tolist()
 
 
-def _check_degree_zero(cx, how_many, method):
+def _check_degree_zero(cx, how_many):
     """The first min(beta_0, how_many) values are exact zeros, beta_0 from the
     boundary ranks; the rest are the oracle's values to 1e-10 relative."""
     beta0 = betti_by_rank(cx.simplices)[0]
     ref = np.linalg.eigvalsh(_oracle_block(cx, 0))[:how_many]
-    rep = spectrum(cx, 0, how_many=how_many, method=method)
+    rep = spectrum(cx, 0, how_many=how_many)
     got = np.repeat(rep.eigenvalues, rep.multiplicities)
     zeros = min(beta0, how_many)
     assert len(got) == how_many and np.count_nonzero(got == 0.0) == zeros
@@ -133,11 +134,15 @@ def _check_degree_zero(cx, how_many, method):
 def test_degree_zero_kernel_is_counted_from_components(graph):
     _, _, cx = graph
     n0 = cx.size(0)
-    assert _check_degree_zero(cx, n0, "dense").method == ("kernel" if cx.size(1) == 0 else "dense")
-    if n0 >= 3:  # ARPACK needs how_many < n0 - 1
-        zeros = min(cx.topology.components.max() + 1, n0 - 2)
-        rep = _check_degree_zero(cx, n0 - 2, "iterative")
-        assert rep.method == ("kernel" if zeros == n0 - 2 else "iterative")
+    # hypothesis refuses function-scoped fixtures, so each example patches the cutover itself
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "DENSE_CUTOVER", n0)
+        assert _check_degree_zero(cx, n0).method == ("kernel" if cx.size(1) == 0 else "dense")
+        mp.setattr(spectral, "DENSE_CUTOVER", 0)
+        if n0 >= 3:  # ARPACK needs how_many < n0 - 1
+            zeros = min(cx.topology.components.max() + 1, n0 - 2)
+            rep = _check_degree_zero(cx, n0 - 2)
+            assert rep.method == ("kernel" if zeros == n0 - 2 else "iterative")
     assert kernel_probe(cx, 0) == 1.0
 
 
@@ -146,7 +151,7 @@ def test_two_components_above_the_cutover_deflate_their_kernel():
     cut = drop_simplices(lattice, 1, lambda e: (e[0][0] < 0) == (e[1][0] < 0))
     cut = reweighted(cut, [np.linspace(0.5, 2.0, len(w)) for w in cut.weights])
     assert cut.size(0) > DENSE_CUTOVER and cut.topology.components.max() == 1
-    rep = _check_degree_zero(cut, 5, "auto")
+    rep = _check_degree_zero(cut, 5)
     assert rep.method == "iterative" and rep.multiplicities[0] == 2
     assert kernel_probe(cut, 0) == 1.0
 
@@ -232,11 +237,12 @@ def test_lifting_raises_c_over_a_small_upper_coboundary(monkeypatch):
 
 
 @pytest.mark.parametrize("off,depth,degree", [("n^3", 4, 0), ("n^3", 4, 1), ("4", 4, 2)])
-def test_iterative_route_finds_every_copy_of_a_multiple_eigenvalue(off, depth, degree):
+def test_iterative_route_finds_every_copy_of_a_multiple_eigenvalue(monkeypatch, off, depth, degree):
     """One Lanczos run finds too few copies of the eigenvalues of these
     blocks that have multiplicity 4 or more; the inertia count asks for the rest."""
     cx = offspring_tree_family(off, depth)
-    rep = spectrum(cx, degree, how_many=6, method="iterative")
+    monkeypatch.setattr(spectral, "DENSE_CUTOVER", 0)
+    rep = spectrum(cx, degree, how_many=6)
     ref = np.linalg.eigvalsh(symmetrized_laplacian(cx, degree).toarray())[:6]
     got = np.repeat(rep.eigenvalues, rep.multiplicities)
     nonzero = ref > KERNEL_THRESH
@@ -268,7 +274,7 @@ def test_component_route_on_a_direct_sum_block(monkeypatch, stacks):
     ref = scipy.linalg.eigh(A.toarray(), eigvals_only=True)
     monkeypatch.setattr(spectral, "_solve_block", lambda *args: pytest.fail("a block solve ran"))
     for skip, count in ((0, 6), (5, 4), (300, 40)):
-        vals, vecs, method, converged, _ = spectral._solve(A, skip, count, "auto", 1, False)
+        vals, vecs, method, converged, _ = spectral._solve(A, skip, count, 1)
         assert method == "components" and converged and vecs is None
         np.testing.assert_allclose(vals, ref[skip:skip + count], rtol=1e-10, atol=1e-12)
     assert stacks and all(n * k * k <= spectral.STACK_ENTRIES for n, k, _ in stacks)
@@ -284,7 +290,7 @@ def test_component_route_solves_a_large_component_by_the_block_route(monkeypatch
     ref = scipy.linalg.eigh(A.toarray(), eigvals_only=True)
     blocks, solve_block = [], spectral._solve_block
     monkeypatch.setattr(spectral, "_solve_block", lambda B, *args: blocks.append(B.shape[0]) or solve_block(B, *args))
-    vals, _, method, converged, _ = spectral._solve(A, 3, 8, "auto", 0, False)
+    vals, _, method, converged, _ = spectral._solve(A, 3, 8, 0)
     assert blocks == [300] and method == "components" and converged
     np.testing.assert_allclose(vals, ref[3:11], rtol=1e-10)
     assert sum(n * k for n, k, _ in stacks) == A.shape[0] - 300
@@ -297,7 +303,7 @@ def test_component_route_counts_every_copy_of_a_value(monkeypatch, stacks):
     monkeypatch.setattr(spectral, "STACK_ENTRIES", 40)
     pair = sp.csr_matrix([[3.0, 1.0], [1.0, 3.0]])  # eigenvalues 2 and 4
     A = _shuffled_direct_sum([sp.csr_matrix([[2.0]])] * 120 + [pair] * 60 + [sp.csr_matrix([[4.0]])] * 40)
-    vals = spectral._solve(A, 170, 40, "auto", 0, False)[0]
+    vals = spectral._solve(A, 170, 40, 0)[0]
     np.testing.assert_allclose(vals, [2.0] * 10 + [4.0] * 30, rtol=1e-10)
     assert sorted(stacks) == [(10, 2, 2)] * 6 + [(40, 1, 1)] * 4
 
@@ -359,7 +365,7 @@ def test_twin_rows_collapse_to_the_dense_spectrum(monkeypatch, base, classes, pa
     else:
         windows = [(0, 5)] + [(r + 1, 3) for r in runs]
     for skip, count in windows:
-        vals, vecs, _, converged, _ = spectral._solve(A, skip, count, "auto", 0, False, kernel if with_kernel else None)
+        vals, vecs, _, converged, _ = spectral._solve(A, skip, count, 0, kernel if with_kernel else None)
         assert vecs is None and converged
         np.testing.assert_allclose(vals, ref[skip:skip + count], rtol=1e-10, atol=1e-12)
     assert blocks == [base + len(pairs_under)] * len(windows)
@@ -386,7 +392,7 @@ def test_rows_that_only_hash_alike_are_not_collapsed():
         B = B.tocsr()
         assert spectral._twin_pairs(B)[0].size == 0
         ref = np.linalg.eigvalsh(B.toarray())
-        np.testing.assert_allclose(spectral._solve(B, 0, 6, "auto", 0, False)[0], ref[:6], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(spectral._solve(B, 0, 6, 0)[0], ref[:6], rtol=1e-10, atol=1e-12)
 
 
 def test_isolated_vertices_are_not_twins_of_each_other():
@@ -397,7 +403,7 @@ def test_isolated_vertices_are_not_twins_of_each_other():
     A, kernel = symmetrized_laplacian(cx, 0), spectral._kernel_basis(cx)
     assert A.shape[0] > DENSE_CUTOVER and cx.topology.betti[0] == kernel.shape[1] == 3
     assert spectral._twin_pairs(A)[0].size == 1 and spectral._twin_pairs(A, kernel)[0].size == 0
-    vals = spectral._solve(A, 3, 5, "auto", 0, False, kernel)[0]
+    vals = spectral._solve(A, 3, 5, 0, kernel)[0]
     np.testing.assert_allclose(vals, np.linalg.eigvalsh(A.toarray())[3:8], rtol=1e-10)
 
 
@@ -408,9 +414,9 @@ def test_a_block_of_twins_leaves_only_its_kernel():
     n = DENSE_CUTOVER + 1
     A = sp.csr_matrix(n * np.eye(n) - np.ones((n, n)))
     kernel = sp.csr_matrix(np.full((n, 1), 1 / math.sqrt(n)))
-    vals, _, method, _, _ = spectral._solve(A, 1, 4, "auto", 0, False, kernel)
+    vals, _, method, _, _ = spectral._solve(A, 1, 4, 0, kernel)
     assert vals.tolist() == [float(n)] * 4 and method == "twins"
-    vals = spectral._solve(A, 0, 3, "auto", 0, False)[0]
+    vals = spectral._solve(A, 0, 3, 0)[0]
     np.testing.assert_allclose(vals, [0.0, n, n], atol=1e-12)
 
 
