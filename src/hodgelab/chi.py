@@ -310,7 +310,8 @@ def _energy_row(cx: WeightedComplex, cutoffs: CutoffSystem, degree: int) -> list
     row = []
     for k in cutoffs.ks:
         c = cutoffs.chi(k)
-        head, band = c[first], np.zeros(len(first), dtype=bool)
+        head = c[first]
+        band = np.zeros(len(head), dtype=bool)
         for column in rest:
             band |= c[column] != head
         keep = np.flatnonzero(band[t])

@@ -531,6 +531,27 @@ def test_kernel_probe_zero_block():
         kernel_probe(cx, 0, 2j)
 
 
+def test_kernel_probe_assembles_nothing_where_a_zero_is_counted(monkeypatch, four_cycle):
+    """beta_0 = beta_1 = 1 on the four-cycle, and it has no triangles."""
+    assert four_cycle.topology.betti[:2] == (1, 1) and four_cycle.size(2) == 0
+    monkeypatch.setattr(spectral, "symmetrized_laplacian", lambda cx, degree: pytest.fail("a block was assembled"))
+    assert [kernel_probe(four_cycle, d, shift) for d in range(3) for shift in (1j, -1j)] == [1.0] * 6
+
+
+def test_a_block_too_small_for_arpack_is_solved_densely(monkeypatch):
+    """Above the cutover, a block of at most skip + count + 1 rows is solved
+    by dense eigh, since ARPACK needs fewer values than rows; one row more
+    takes shift-invert eigsh."""
+    cx = gen_lattice(2, 2, 2)  # 25 vertices, beta_0 = 1
+    ref = np.linalg.eigvalsh(symmetrized_laplacian(cx, 0).toarray())
+    monkeypatch.setattr(spectral, "DENSE_CUTOVER", 0)
+    for how_many, method in ((25, "dense"), (24, "dense"), (23, "iterative")):
+        rep = spectrum(cx, 0, how_many=how_many)
+        got = np.repeat(rep.eigenvalues, rep.multiplicities)
+        assert rep.method == method and rep.converged
+        np.testing.assert_allclose(got[1:], ref[1:how_many], rtol=1e-10)
+
+
 def test_boundary_weight_down_scales_last_layer():
     cx = gen_truncated_tree(1, 3)
     down = boundary_weight_down(cx, 1e-3)
