@@ -84,7 +84,6 @@ class Exhaustion:
     vertices: list = field(repr=False)
     layer: np.ndarray = field(repr=False)
     roots: tuple = ()
-    k_max: int | None = None
 
     def __post_init__(self):
         self.layer = np.array(self.layer, dtype=np.int64)
@@ -118,14 +117,15 @@ class Exhaustion:
 
 def make_ball_exhaustion(cx: WeightedComplex, roots: Iterable, k_max: int) -> Exhaustion:
     """Graph-distance balls around ``roots``: a vertex's layer is its
-    distance to the roots; unreachable vertices are excluded and reported on
-    the result.  A root that is not a vertex of ``cx`` raises ``ValueError``."""
+    distance to the roots, unbounded by the third argument, which is not read;
+    unreachable vertices are excluded and reported on the result.  A root
+    that is not a vertex of ``cx`` raises ``ValueError``."""
     roots = list(roots)
     if not roots:
         raise ValueError("roots must be nonempty")
     # looked up first: vertices are mutually comparable, so the sort cannot raise
     distance = cx.topology.distances_from(roots)
-    return Exhaustion(cx.topology.vertices, distance, roots=tuple(sorted(set(roots))), k_max=int(k_max))
+    return Exhaustion(cx.topology.vertices, distance, roots=tuple(sorted(set(roots))))
 
 
 def _same_table(cx: WeightedComplex, vertices: list, what: str) -> None:
@@ -144,8 +144,8 @@ def _layer_profile(exh: Exhaustion, k: int, ramp) -> np.ndarray:
     kind = ramp[0]
     if kind == "linear":
         width = ramp[1]
-        if width <= 0:
-            raise ValueError("ramp width must be positive")
+        if not 0 < width < math.inf:
+            raise ValueError(f"ramp width {width} must be finite and positive")
         # elementwise, the IEEE operations of the scalar 1.0 - max(0, d - k) / width
         val = 1.0 - np.maximum(0, np.arange(top + 1) - k) / width
         values = np.where(val > 0, np.minimum(1.0, val), 0.0)
@@ -476,6 +476,19 @@ class LeibnizReport:
     smallest_C: float | None
 
 
+def _coboundary_remainder(cx: WeightedComplex, c: np.ndarray, avg_i: np.ndarray, f: Cochain) -> tuple:
+    """(R_d, ||R_d||) with R_d = d(chi*f) - chi^{(i+1)} * (df), for the vertex
+    values ``c`` whose means over the degree-i simplices are ``avg_i``;
+    (None, 0.0) at the top degree."""
+    i = f.degree
+    if i >= cx.max_degree:
+        return None, 0.0
+    scaled = Cochain(i, avg_i * f.values)
+    avg_up = _simplex_means(cx, c, i + 1)
+    R_d = Cochain(i + 1, coboundary_apply(cx, scaled).values - avg_up * coboundary_apply(cx, f).values)
+    return R_d, norm(cx, i + 1, R_d.values)
+
+
 def leibniz_remainder(cx: WeightedComplex, chi: Mapping | np.ndarray, f: Cochain) -> LeibnizReport:
     """Commutator remainders of cut-off multiplication against d and δ.
 
@@ -487,19 +500,13 @@ def leibniz_remainder(cx: WeightedComplex, chi: Mapping | np.ndarray, f: Cochain
     i = f.degree
     c = _vertex_array(cx, chi)
     avg_i = _simplex_means(cx, c, i)
-    scaled = Cochain(i, avg_i * f.values)
-
-    R_d = None
-    norm_d = 0.0
-    if i < cx.max_degree:
-        avg_up = _simplex_means(cx, c, i + 1)
-        R_d = Cochain(i + 1, coboundary_apply(cx, scaled).values - avg_up * coboundary_apply(cx, f).values)
-        norm_d = norm(cx, i + 1, R_d.values)
+    R_d, norm_d = _coboundary_remainder(cx, c, avg_i, f)
 
     R_delta = None
     norm_delta = 0.0
     if i >= 1:
         avg_dn = _simplex_means(cx, c, i - 1)
+        scaled = Cochain(i, avg_i * f.values)
         R_delta = Cochain(i - 1, codifferential_apply(cx, scaled).values - avg_dn * codifferential_apply(cx, f).values)
         norm_delta = norm(cx, i - 1, R_delta.values)
 

@@ -2,8 +2,8 @@
 reports and spectral sweeps, emitted as reproducible JSON/CSV reports.
 
 Every report embeds the run configuration and tool version, and identical
-configurations produce byte-identical output.  Verdicts are data:
-only malformed input sets a nonzero exit code.
+configurations produce byte-identical output.  Verdicts are data: only
+malformed input and a sweep eigensolve that does not converge exit nonzero.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chi import Exhaustion, _positive_part, _same_table, _vertex_array, budget_profile, leibniz_remainder, make_ball_exhaustion
+from .chi import (Exhaustion, _coboundary_remainder, _positive_part, _same_table, _simplex_means, _vertex_array,
+                  budget_profile, make_ball_exhaustion)
 from .complexes import WeightedComplex
 from .operators import norm
 
@@ -185,7 +186,10 @@ def divergence_partial_sums(xi, k_range: Sequence[int]) -> PartialSumReport:
     total = 0.0
     diverged_at = None
     for k in ks:
-        x = float(fn(k))
+        x = fn(k)
+        if x is None:
+            raise ValueError(f"the growth xi({k}) of layer {k} is undefined")
+        x = float(x)
         xi_vals.append(x)
         if x < 0:
             raise ValueError(f"xi({k}) = {x} is negative")
@@ -240,36 +244,10 @@ def divergence_cutoffs(layers: LayerDecomposition, xi, N: int, horizon: int):
     the cut-off of ``make_cutoff_system`` for the ramp ("divergence", xi, horizon).
 
     Returns (vertex_chi, info): ``{label: value}`` where the cut-off is
-    positive, and the layer profile of ``budget_profile`` with its tail.
+    positive, and the "tail_sum" and "layer_profile" of ``budget_profile``.
     """
-    fn = _as_xi_fn(xi)
-    profile, tail = budget_profile(fn, N, horizon, int(layers.layer.max(initial=0)))
-    chi = _positive_part(layers, np.append(profile, 0.0))
-    info = {
-        "N": N,
-        "horizon": horizon,
-        "tail_sum": tail,
-        "layer_profile": profile,
-        # integral-comparison estimate of the mass ignored beyond the horizon
-        "tail_beyond_horizon_estimate": _tail_estimate(fn, horizon),
-    }
-    return chi, info
-
-
-def _tail_estimate(fn, horizon: int, probe: int = 64) -> float:
-    """Crude integral-comparison bound on sum_{j>horizon} 1/sqrt(xi(j)).
-
-    Fits the local power-law decay of 1/sqrt(xi) at the horizon; returns inf
-    when the terms do not decay.
-    """
-    a = 1.0 / math.sqrt(fn(horizon))
-    b = 1.0 / math.sqrt(fn(horizon + probe))
-    if b >= a:
-        return math.inf
-    p = math.log(a / b) / math.log((horizon + probe) / horizon)
-    if p <= 1.0:
-        return math.inf
-    return a * horizon / (p - 1.0)
+    profile, tail = budget_profile(_as_xi_fn(xi), N, horizon, int(layers.layer.max(initial=0)))
+    return _positive_part(layers, np.append(profile, 0.0)), {"tail_sum": tail, "layer_profile": profile}
 
 
 @dataclass
@@ -291,7 +269,7 @@ def step3_estimate(cx: WeightedComplex, layers: LayerDecomposition, chi: Mapping
     as N grows whenever the budget sums grow.
     """
     c = _vertex_array(cx, chi)
-    rnorms = [leibniz_remainder(cx, c, f).norm_d for f in u]
+    rnorms = [_coboundary_remainder(cx, c, _simplex_means(cx, c, f.degree), f)[1] for f in u]
     unorms = [norm(cx, i, f.values) for i, f in enumerate(u)]
     consts = [r ** 2 * tail_sum / un ** 2 if un > 0 else 0.0 for r, un in zip(rnorms, unorms)]
     return Step3Report(N=N, tail_sum=tail_sum, degrees=list(range(len(u))),

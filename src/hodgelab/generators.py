@@ -181,8 +181,8 @@ def gen_truncated_tree(n_tri: int, depth: int) -> WeightedComplex:
     Sibling edges are added exactly where a triangle exists, so the clique
     complex stores the stated triangles and nothing more.
     """
-    if depth < n_tri + 1:
-        raise ValueError("depth must be at least n_tri + 1")
+    if depth < max(0, n_tri + 1):
+        raise ValueError(f"depth {depth} must be nonnegative and at least n_tri + 1")
     # each vertex is the lowest of its two child edges and, as a first child, its sibling edge
     _refuse_above_cap(f"truncated tree of depth {depth}", 2 ** min(depth + 1, _BITS) - 1, 3, 2)
     vertices, _, _, edges = _tree([2] * depth, n_tri + 1)
@@ -196,6 +196,8 @@ def _offspring_layers(off: Callable[[int], int], depth: int, tet_parity: int):
     first childless layer; the layers whose vertices carry a tetrahedron; and
     the simplex count.  The layers, and so the count, stop once the count
     passes MAX_OFFSPRING_SIMPLICES."""
+    if tet_parity not in (0, 1):
+        raise ValueError(f"tet parity {tet_parity} must be 0 or 1")
     ks, widths, size = [], [1], 1
     for level in range(depth):
         if size > MAX_OFFSPRING_SIMPLICES or (k := int(off(level))) == 0:
@@ -206,7 +208,7 @@ def _offspring_layers(off: Callable[[int], int], depth: int, tet_parity: int):
         size += 2 * widths[-1] * (k + k // 2)
         ks.append(k)
         widths.append(widths[-1] * k)
-    tets = [l for l in range(len(ks) - 1) if l % 2 == tet_parity % 2 and ks[l] >= 2]
+    tets = [l for l in range(len(ks) - 1) if l % 2 == tet_parity and ks[l] >= 2]
     # each tetrahedron brings two closure edges and three triangles
     return ks, tets, size + 6 * sum(widths[l] for l in tets)
 

@@ -231,6 +231,15 @@ def test_an_empty_k_list_is_refused(K4):
         make_cutoff_system(K4, exh, [])
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -1.0])
+def test_a_linear_ramp_width_not_finite_and_positive_is_refused(K4, width):
+    """A width of nan made every cut-off value 0.0, plateau included, and inf
+    every value 1.0."""
+    exh = make_ball_exhaustion(K4, {"a"}, 2)
+    with pytest.raises(ValueError, match=f"ramp width {width} must be finite and positive"):
+        make_cutoff_system(K4, exh, [0, 1], ("linear", width))
+
+
 def test_vertex_function_of_the_wrong_length_is_refused(K4):
     with pytest.raises(ValueError, match="vertex function has length 3, the complex has 4 vertices"):
         energy_functional(K4, np.ones(3), 1)

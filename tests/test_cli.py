@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from hodgelab import cli, spectral
 from hodgelab.cli import main
 from hodgelab.complexes import complex_from_json, complex_to_json
-from hodgelab.generators import estimate_offspring_tree_size, gen_lattice, gen_truncated_tree
+from hodgelab.generators import estimate_offspring_tree_size, gen_lattice, gen_truncated_tree, offspring_tree_family
 
 from conftest import k3_description
 
@@ -312,6 +312,32 @@ def test_negative_depths_and_counts_below_one_are_refused(tmp_path, monkeypatch,
     code, _, err = run(capsys, *argv)
     assert_one_line_error(code, err)
     assert err.strip() == message
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["chi", "--input", "cx.json", "--ramp-width", "nan", "--k-range", "0..3"],
+     "error: ramp width nan must be finite and positive"),
+    (["chi", "--input", "cx.json", "--ramp-width", "inf", "--k-range", "0..3"],
+     "error: ramp width inf must be finite and positive"),
+    (["chi", "--input", "cx.json", "--ramp-width", "1e309", "--k-range", "0..3"],
+     "error: ramp width inf must be finite and positive"),
+    (["generate", "--kind", "tree", "--n-tri", "-5", "--depth", "-3"],
+     "error: depth -3 must be nonnegative and at least n_tri + 1"),
+    (["generate", "--kind", "offspring-tree", "--depth", "2", "--tet-parity", "7"],
+     "error: tet parity 7 must be 0 or 1"),
+    (["sweep", "--off", "2", "--depths", "1", "--tet-parity", "-1"], "error: tet parity -1 must be 0 or 1"),
+])
+def test_a_ramp_width_tree_depth_or_tet_parity_out_of_range_is_refused(tmp_path, monkeypatch, capsys, argv,
+                                                                      message):
+    """A linear ramp width that is not finite and positive, a negative tree
+    depth and a tet parity other than 0 or 1 each end in one error: line,
+    where a report of NaN energies or a complex with the bad value in its
+    meta was written."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "generate", "--kind", "lattice", "--radius", "2", "--output", "cx.json")
+    code, out, err = run(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert err.strip() == message and out == ""
 
 
 def assert_one_line_error(code, err):
@@ -750,3 +776,98 @@ def test_mutated_descriptions_load_or_end_in_one_error_line(tmp_path_factory, ed
         assert_one_line_error(code, err.getvalue())
     else:
         assert err.getvalue() == ""
+
+
+# well-formed calls of every subcommand on small fixtures in the directory DIR;
+# no call writes a file
+_FUZZ_CALLS = [
+    "generate --kind lattice --d 2 --n 2 --radius 1 --adjacency nearest",
+    "generate --kind perturbed --side 2 --radius 1 --radial-alpha 2",
+    "generate --kind alternating --radius 1",
+    "generate --kind tree --n-tri 1 --depth 3",
+    "generate --kind offspring-tree --off 2 --depth 2 --tet-parity 1",
+    "assemble --input DIR/lattice.json --kind gauss_bonnet --degree 1",
+    "chi --input DIR/lattice.json --k-range 0..3 --ramp-width 2.5 --roots [[0,0]]",
+    "chi --input DIR/tree.json --ramp divergence --roots [[]] --k-range 0..2 --horizon 5",
+    "chi --input DIR/lattice.json --mode level --level 2 --k-range 1,2",
+    "chi --input DIR/lattice.json --mode region --region-file DIR/region.json --k-range 0..2",
+    "divergence --input DIR/tree.json --k-range 0..2 --cutoff-n 1 --horizon 5",
+    "divergence --input DIR/lattice.json --layers distance --roots [[0,0]] --k-range 0..1",
+    "divergence --xi n^2 --k-range 1..5 --cutoff-n 1 --horizon 8",
+    "spectrum --input DIR/lattice.json --degree 1 --how-many 3 --format csv --seed 2",
+    "hodge --input DIR/lattice.json --degree 1",
+    "sweep --off 2 --depths 0..2 --tet-parity 1 --how-many 2 --seed 1",
+]
+# negative, zero, huge, not a number, infinite, beyond the float range, text,
+# empty, reversed and malformed ranges, malformed JSON.  The huge value stays
+# at 10^5 and range endpoints below 10^3: the cut-off budget runs over every
+# layer up to --horizon, and the reports of --xi over every layer up to the
+# largest k.  No value is 1: --off 1 with a huge depth runs 10^7 layers
+# before the size cap refuses it.
+_FUZZ_VALUES = ["-3", "0", "100000", "nan", "inf", "1e309", "2.5", "x", "", "3..1", "1..", "..", "a..b",
+                "1..2..3", "1,,x", "998..999", "-2..1", "[", "[[0,0]", "{}", "[1]", "[[9,9]]", "null", "[[]]"]
+
+
+@st.composite
+def _mutated_calls(draw):
+    """A well-formed call with 1 to 3 edits ``(action, flag, value)``: set
+    the flag's value, drop the flag, or repeat it."""
+    argv = draw(st.sampled_from(_FUZZ_CALLS)).split()
+    edit = st.tuples(st.sampled_from(["set", "set", "drop", "repeat"]), st.sampled_from(argv[1::2]),
+                     st.sampled_from(_FUZZ_VALUES))
+    return argv, draw(st.lists(edit, min_size=1, max_size=3))
+
+
+def _edited_call(argv, edits):
+    """``argv`` with ``edits`` made; an edit of a flag dropped before is skipped."""
+    pairs = [argv[i:i + 2] for i in range(1, len(argv), 2)]
+    for action, flag, value in edits:
+        pair = next((p for p in pairs if p[0] == flag), None)
+        if pair is None:
+            continue
+        if action == "set":
+            pair[1] = value
+        elif action == "drop":
+            pairs.remove(pair)
+        else:
+            pairs.append(list(pair))
+    return argv[:1] + [x for p in pairs for x in p]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("args")
+    (path / "lattice.json").write_text(json.dumps(complex_to_json(gen_lattice(2, 2, 1))))
+    (path / "tree.json").write_text(json.dumps(complex_to_json(offspring_tree_family(2, 3))))
+    (path / "region.json").write_text(json.dumps([[0, 0], [0, 1], [1, 0], [1, 1]]))
+    return path
+
+
+def _no_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
+
+
+@given(_mutated_calls())
+@example((_FUZZ_CALLS[6].split(), [("set", "--ramp-width", "nan")]))
+@example((_FUZZ_CALLS[6].split(), [("set", "--ramp-width", "inf")]))
+@example((_FUZZ_CALLS[6].split(), [("set", "--ramp-width", "1e309")]))
+@example((_FUZZ_CALLS[3].split(), [("set", "--n-tri", "-5"), ("set", "--depth", "-3")]))
+@example((_FUZZ_CALLS[4].split(), [("set", "--tet-parity", "7")]))
+@example((_FUZZ_CALLS[15].split(), [("set", "--tet-parity", "-1")]))
+@example((_FUZZ_CALLS[11].split(), [("drop", "--layers", "")]))  # depth layers 0 and 1 hold no vertex
+def test_mutated_arguments_run_or_end_in_one_error_line(fuzz_dir, call):
+    """Every call exits 0 with a report of standard JSON, or exits 1 with
+    exactly one error: line, or exits 2 from argparse; nothing else is
+    raised."""
+    argv = [a.replace("DIR", str(fuzz_dir)) for a in _edited_call(*call)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse refuses the call with its usage line
+            assert exit.code == 2, argv
+            return
+    if code:
+        assert_one_line_error(code, err.getvalue())
+    elif out.getvalue().startswith("{"):
+        json.loads(out.getvalue(), parse_constant=_no_constant)

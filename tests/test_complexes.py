@@ -17,7 +17,7 @@ from hodgelab import (
     induced_subcomplex,
     weighted_degree,
 )
-from hodgelab import complexes
+from hodgelab import cli, complexes
 from hodgelab.complexes import Topology, reweighted
 from hodgelab.divergence import LayerDecomposition, growth_table, validate_decomposition
 from hodgelab.generators import (
@@ -29,7 +29,15 @@ from hodgelab.generators import (
     offspring_tree_family,
     radial_weighting,
 )
-from hodgelab.operators import adjointness_check, codifferential_matrix, coboundary_matrix
+from hodgelab.operators import (
+    adjointness_check,
+    block_offsets,
+    codifferential_matrix,
+    coboundary_matrix,
+    gauss_bonnet_matrix,
+    laplacian_matrix,
+    symmetrized_laplacian,
+)
 from hodgelab.spectral import hodge_decompose, hodge_orthogonality_residual
 
 from conftest import k3_description, unit_graph
@@ -414,7 +422,9 @@ def test_operator_identities_and_the_hodge_splitting(graph):
     """d∘d = 0 and adjointness; the Euler identity against the Betti numbers
     of the topology; at every degree the Hodge splitting has the dimensions
     (rank d_{l-1}, beta_l, rank d_l) of the rank oracle, is orthogonal, and
-    d and delta annihilate its harmonic basis."""
+    d and delta annihilate its harmonic basis.  D^2 is block diagonal with
+    the Laplacians L_i as its blocks, and two loads of the complex's
+    description emit the same text and assemble the same blocks, bit for bit."""
     _, _, cx = graph
     tables, n = cx.simplices, cx.max_degree
     for i in range(n - 1):
@@ -436,6 +446,20 @@ def test_operator_identities_and_the_hodge_splitting(graph):
             assert np.abs(coboundary_matrix(cx, ell) @ K).max(initial=0.0) <= 1e-10
         if ell:
             assert np.abs(codifferential_matrix(cx, ell) @ K).max(initial=0.0) <= 1e-10
+    D2, offs = (gauss_bonnet_matrix(cx) @ gauss_bonnet_matrix(cx)).toarray(), block_offsets(cx)
+    for i in range(n + 1):
+        L = laplacian_matrix(cx, i).toarray()
+        tol = 1e-12 * max(1.0, np.abs(L).max(initial=0.0))
+        for j in range(n + 1):
+            block = D2[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+            assert np.abs(block - L if i == j else block).max(initial=0.0) <= tol
+    doc = json.loads(json.dumps(complex_to_json(cx)))
+    first, second = complex_from_json(doc), complex_from_json(doc)
+    assert cli._dumps(complex_to_json(first)) == cli._dumps(complex_to_json(second))
+    for i in range(n + 1):
+        a, b = symmetrized_laplacian(first, i), symmetrized_laplacian(second, i)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
 
 
 @pytest.mark.parametrize("make", [

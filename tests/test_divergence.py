@@ -266,3 +266,20 @@ def test_step3_remainders_decrease():
         rep = step3_estimate(cx, layers, chi, u, info["tail_sum"], N)
         totals.append(math.sqrt(math.fsum(r ** 2 for r in rep.remainder_norms)))
     assert totals[0] > totals[1] > totals[2]
+
+
+def test_partial_sums_refuse_an_undefined_growth():
+    """A measured table marks a layer without vertices None; the partial
+    sums name it, where float(None) raised a TypeError."""
+    with pytest.raises(ValueError, match=r"the growth xi\(1\) of layer 1 is undefined"):
+        divergence_partial_sums([4.0, None, 9.0], range(0, 3))
+
+
+@pytest.mark.parametrize("beyond", [0, None, -1])
+def test_divergence_cutoffs_read_no_growth_beyond_the_horizon(beyond):
+    """The budget ends at the horizon: a growth that is 0, undefined or
+    negative past it changes neither the cut-off nor its tail and profile."""
+    layers = layers_by_depth(offspring_tree_family(2, 6))
+    want = divergence_cutoffs(layers, lambda j: 1, 2, 5)
+    assert divergence_cutoffs(layers, lambda j: 1 if j <= 5 else beyond, 2, 5) == want
+    assert sorted(want[1]) == ["layer_profile", "tail_sum"]

@@ -591,3 +591,18 @@ def test_esa_sweep_deterministic():
     a = esa_sweep("n^2", [4, 5], how_many=2, seed=0)
     b = esa_sweep("n^2", [4, 5], how_many=2, seed=0)
     assert a == b
+
+
+def test_a_values_only_solve_that_does_not_converge_raises(monkeypatch):
+    """With one iteration allowed, ARPACK leaves the 1,152-row L_2 block of
+    the lattice unsolved: the sweep's values-only solve raises, naming the
+    rows and the budget, where it returned 4 of 6 values; ``spectrum``, which
+    asks for vectors, reports the shortfall."""
+    monkeypatch.setattr(spectral, "ITERATION_BUDGET", 1)
+    monkeypatch.setattr(spectral, "DENSE_CUTOVER", 0)
+    cx = gen_lattice(2, 2, 12)
+    with pytest.raises(ValueError, match="a 1152-row block did not converge within 1 iterations"):
+        _hodge_spectra(cx, 6, 0)
+    rep = spectrum(cx, 1, 6)
+    assert not rep.converged and rep.message == "no convergence within 1 iterations"
+    assert rep.method == "iterative" and sum(rep.multiplicities) == len(rep.residuals) == 3
