@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .complexes import WeightedComplex
+from .complexes import MAX_OFFSPRING_SIMPLICES, WeightedComplex
 from .operators import (
     Cochain,
     coboundary_apply,
@@ -181,6 +181,8 @@ def budget_profile(xi_fn, N: int, horizon: int, top: int) -> tuple[list, float]:
         raise ValueError(f"the plateau index {N} must be nonnegative")
     if horizon <= N:
         raise ValueError("horizon must exceed the plateau index")
+    if horizon > MAX_OFFSPRING_SIMPLICES:  # one step per layer up to the horizon
+        raise ValueError(f"horizon {horizon} passes the cap of {MAX_OFFSPRING_SIMPLICES} layers")
     steps = []
     for j in range(N, horizon + 1):
         x = xi_fn(j)

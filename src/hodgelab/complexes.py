@@ -123,10 +123,11 @@ class Topology:
     omitting vertex l (``face_arrays[0]`` has no columns).  ``extension_coo``,
     ``incidence``, ``components``, ``betti`` and the label tuples
     ``simplices`` are derived on first use and cached.  Every reweighting
-    shares the topology.
+    shares the topology.  With ``prune``, a row with a face missing from the
+    table below is dropped instead of refused.
     """
 
-    def __init__(self, vertices: list, tables: Sequence[np.ndarray]):
+    def __init__(self, vertices: list, tables: Sequence[np.ndarray], prune: bool = False):
         self.vertices = vertices
         self.max_degree = len(tables)
         n0 = len(vertices)
@@ -139,6 +140,9 @@ class Topology:
         for i, V in enumerate(tables, start=1):
             V = np.asarray(V, dtype=np.int64).reshape(-1, i + 1)
             F = np.column_stack([self._find(np.delete(V, l, axis=1)) for l in range(i + 1)])
+            if prune:
+                closed = (F >= 0).all(axis=1)
+                V, F = V[closed], F[closed]
             codes = F[:, i] * n0 + V[:, i]
             if (F < 0).any() or (V[:, i] <= V[:, i - 1]).any() or (codes[1:] <= codes[:-1]).any():
                 raise ValueError(f"degree-{i} simplex table is unsorted or not closed under faces")
@@ -334,13 +338,16 @@ def _locate(top: Topology, degree: int, simplices: Iterable[tuple]) -> np.ndarra
     return top._find(np.array(rows, dtype=np.int64).reshape(-1, width))
 
 
-def clique_tables(n0: int, edges: np.ndarray, n: int) -> list[np.ndarray]:
+def clique_tables(n0: int, edges: np.ndarray, n: int,
+                  listed: Mapping[int, np.ndarray] | None = None) -> list[np.ndarray]:
     """Simplex tables of degrees 1..n of the clique complex on the vertex
     positions 0..n0-1 and the ``(E, 2)`` int64 edge rows u < v, in any order.
 
     Each row is extended by every later neighbour of its last vertex that is
     adjacent to all its vertices (Chiba & Nishizeki, SIAM J. Comput. 1985);
-    rows and neighbours come in order, so every table comes out sorted.
+    rows and neighbours come in order, so every table comes out sorted.  A
+    degree in ``listed`` takes its sorted rows from there instead, and the
+    degree above extends those.
     """
     if n < 1:
         raise ValueError("max degree n must be >= 1")
@@ -354,6 +361,9 @@ def clique_tables(n0: int, edges: np.ndarray, n: int) -> list[np.ndarray]:
     start = np.searchsorted(edges[:, 0], np.arange(n0 + 1))
     tables = [edges]
     for degree in range(2, n + 1):
+        if listed and degree in listed:
+            tables.append(listed[degree])
+            continue
         rows = tables[-1]
         last = rows[:, -1]
         count = start[last + 1] - start[last]
@@ -384,15 +394,17 @@ def _edge_rows(vertices: list, edges: Iterable[tuple]) -> np.ndarray | None:
     return ends if ok else None
 
 
-def _clique_complex(vertices: list, m0: Mapping, ends: np.ndarray, m1: Iterable[float], n: int) -> WeightedComplex:
-    """``build_clique_complex`` on the rows ``ends`` of ``_edge_rows``, m1 given per row."""
+def _clique_complex(vertices: list, m0: Mapping, ends: np.ndarray, m1: Iterable[float], n: int,
+                    listed: Mapping[int, np.ndarray] | None = None) -> WeightedComplex:
+    """``build_clique_complex`` on the rows ``ends`` of ``_edge_rows``, m1 given per row; the
+    degrees in ``listed`` take those rows (``clique_tables``), kept where their faces are."""
     n0 = len(vertices)
     order = np.argsort(ends[:, 0] * n0 + ends[:, 1])
-    tables = clique_tables(n0, ends[order], n)
+    top = Topology(vertices, clique_tables(n0, ends[order], n, listed), prune=bool(listed))
     weights = [np.fromiter(map(m0.__getitem__, vertices), dtype=float, count=n0),
                np.fromiter(m1, dtype=float, count=len(ends))[order]]
-    weights += [np.ones(len(V)) for V in tables[1:]]
-    return WeightedComplex(Topology(vertices, tables), weights)
+    weights += [np.ones(len(top.vertex_index(i))) for i in range(2, n + 1)]
+    return WeightedComplex(top, weights)
 
 
 def weighted_degree(cx: WeightedComplex, degree: int, index: int) -> float:
@@ -494,18 +506,19 @@ def _decode_ids(ids: list) -> list:
 
 
 def complex_to_json(cx: WeightedComplex) -> dict:
-    """Complex description document (vertices/edges/max_degree/weights)."""
+    """Complex description document (vertices/edges/max_degree/weights),
+    written from the position rows, each vertex id encoded once."""
+    top = cx.topology
+    ids = [_encode_vertex(v) for v in top.vertices]
+    u, v = top.vertex_index(1).T.tolist()
     doc = {
-        "vertices": [{"id": _encode_vertex(v), "m0": w}
-                     for (v,), w in zip(cx.simplices[0], cx.weights[0].tolist())],
-        "edges": [{"u": _encode_vertex(u), "v": _encode_vertex(v), "m1": w}
-                  for (u, v), w in zip(cx.simplices[1], cx.weights[1].tolist())],
+        "vertices": [{"id": x, "m0": w} for x, w in zip(ids, cx.weights[0].tolist())],
+        "edges": [{"u": ids[a], "v": ids[b], "m1": w} for a, b, w in zip(u, v, cx.weights[1].tolist())],
         "max_degree": cx.max_degree,
         "weights": {
-            str(i): [
-                {"simplex": [_encode_vertex(v) for v in s], "m": float(w)}
-                for s, w in zip(cx.simplices[i], cx.weights[i])
-            ]
+            str(i): [{"simplex": list(s), "m": w} for s, w in zip(
+                zip(*[map(ids.__getitem__, column) for column in top.vertex_index(i).T.tolist()]),
+                cx.weights[i].tolist())]
             for i in range(2, cx.max_degree + 1)
         },
     }
@@ -561,32 +574,39 @@ def _listed(items: list, what: str, keys: Callable[[list], list], field: str, na
     return listed
 
 
+def _edge_pairs(items: list) -> list:
+    """The decoded (u, v) label pairs of the description's edge entries ``items``."""
+    return list(zip(_decode_ids([item["u"] for item in items]), _decode_ids([item["v"] for item in items])))
+
+
 def complex_from_json(doc: dict) -> WeightedComplex:
     """Rebuild a complex from its description document.
 
-    Explicit per-degree weight lists define that degree's simplices exactly;
-    degrees without a list default to weight 1 on every clique whose faces
-    are present.  A ``weight_rule`` of kind ``radial`` replaces every weight
-    instead, and any other rule is refused.  The description's ``meta`` is
-    kept.  A value of the wrong JSON shape is refused with a ValueError that
-    names its key.
+    Explicit per-degree weight lists define that degree's simplices exactly:
+    its table is built from its list.  A degree without a list takes weight 1
+    on every clique whose faces are present, by ``clique_tables``' extension
+    of the table below.  A ``weight_rule`` of kind ``radial`` replaces every
+    weight instead, and any other rule is refused.  The description's
+    ``meta`` is kept.  A value of the wrong JSON shape is refused with a
+    ValueError that names its key.
     """
     _shaped(doc, dict, "document")
     m0 = _listed(_shaped(doc["vertices"], list, "'vertices'"), "'vertices' entry",
                  lambda items: _decode_ids([item["id"] for item in items]), "m0", "m0({!r})", "vertex {!r}")
-    m1 = _listed(_shaped(doc["edges"], list, "'edges'"), "'edges' entry",
-                 lambda items: list(zip(_decode_ids([item["u"] for item in items]),
-                                        _decode_ids([item["v"] for item in items]))), "m1",
-                 "m1({0[0]!r},{0[1]!r})", "edge ({0[0]!r},{0[1]!r})")
-    try:
+    edges = _shaped(doc["edges"], list, "'edges'")
+    try:  # in bulk, when each edge joins two vertices once with a finite, positive weight
         vertices = sorted(m0)
-        ends = _edge_rows(vertices, m1)
-    except TypeError:
-        ends = None
-    if ends is None:  # WeightedGraph refuses mixed ids or the first bad edge, or merges one listed both ways
-        graph = WeightedGraph(m0, m1)
-        vertices, m0, m1 = graph.vertices, graph.m0, graph.m1
-        ends = _edge_rows(vertices, m1)
+        ends = _edge_rows(vertices, _edge_pairs(edges))
+        m1 = np.array(list(map(float, [item["m1"] for item in edges])))
+        if ends is None or not ((m1 > 0) & (m1 < math.inf)).all():
+            raise ValueError
+    except (TypeError, KeyError, ValueError, OverflowError):
+        # entry by entry: _listed refuses the first bad entry, and WeightedGraph mixed ids or
+        # the first bad edge; each merges an entry listed twice with one weight
+        graph = WeightedGraph(m0, _listed(edges, "'edges' entry", _edge_pairs, "m1", "m1({0[0]!r},{0[1]!r})",
+                                          "edge ({0[0]!r},{0[1]!r})"))
+        vertices, m0 = graph.vertices, graph.m0
+        ends, m1 = _edge_rows(vertices, graph.m1), np.fromiter(graph.m1.values(), float, len(graph.m1))
     n = _shaped(doc["max_degree"], int, "'max_degree'")
     rule = doc.get("weight_rule")
     if rule is not None:
@@ -600,34 +620,43 @@ def complex_from_json(doc: dict) -> WeightedComplex:
         _shaped(rule["alpha"], (int, float), "weight_rule 'alpha'")
         if doc.get("weights"):
             raise ValueError("a description gives either weights lists or a weight_rule, not both")
-    explicit = {}
+    position, listed = {v: j for j, v in enumerate(vertices)}, {}
     for k, lst in _shaped(doc.get("weights") or {}, dict, "'weights'").items():
         if not 0 <= int(k) <= n:
             raise ValueError(f"weights of degree {k} outside 0..{n}")
-        if int(k) in explicit:
+        if int(k) in listed:
             raise ValueError(f"weights key {k!r} names degree {int(k)} again")
-        simplex = f"degree-{k} 'simplex'"
-        explicit[int(k)] = _listed(
-            _shaped(lst, list, f"'weights' of degree {k}"), f"degree-{k} 'weights' entry",
-            lambda items: [tuple(_decode_ids(_shaped(item["simplex"], list, simplex))) for item in items], "m",
-            "degree-{1} weight m{0!r}", "degree-{1} simplex {0!r}", k)
+        simplex, width = f"degree-{k} 'simplex'", int(k) + 1
+        keys = _listed(_shaped(lst, list, f"'weights' of degree {k}"), f"degree-{k} 'weights' entry",
+                       lambda items: [tuple(_decode_ids(_shaped(item["simplex"], list, simplex))) for item in items],
+                       "m", "degree-{1} weight m{0!r}", "degree-{1} simplex {0!r}", k)
+        # one row of positions per label tuple, -1 for a label that is no vertex and for a tuple of another length
+        rows = np.array([[position.get(v, -1) for v in s] if len(s) == width else [-1] * width for s in keys],
+                        dtype=np.int64).reshape(-1, width)
+        order = np.lexsort(rows.T[::-1])
+        listed[int(k)] = rows[order], np.array(list(keys.values()))[order], list(keys), order
 
-    cx = _clique_complex(vertices, m0, ends, m1.values(), n)
+    if 0 in listed:  # the listed vertices stay, renumbered in order
+        keep = np.isin(np.arange(len(vertices)), listed[0][0])
+        renumber = np.append(np.where(keep, np.cumsum(keep) - 1, -1), -1)
+        vertices = [v for v, k in zip(vertices, keep.tolist()) if k]
+        ends, listed = renumber[ends], {i: (renumber[rows], *rest) for i, (rows, *rest) in listed.items()}
+    inside = (ends >= 0).all(axis=1)  # an edge stays where its vertices do and, if edges are listed, it is
+    if 1 in listed:
+        (u, v), n0 = listed[1][0].T, len(vertices)
+        inside &= np.isin(ends[:, 0] * n0 + ends[:, 1], u * n0 + v)
+    cx = _clique_complex(vertices, m0, ends[inside], m1[inside], n, {
+        i: rows[(rows >= 0).all(axis=1) & (np.diff(rows, axis=1) > 0).all(axis=1)]
+        for i, (rows, *_) in listed.items() if i >= 2})
+    for i, (rows, w, keys, order) in sorted(listed.items()):
+        # the degree-i table holds the listed rows whose faces are present; all of them, when as many
+        if cx.size(i) != len(rows):
+            unknown = sorted(keys[j] for j in np.sort(order[cx.topology._find(rows) < 0]))
+            raise ValueError(f"degree-{i} weights reference non-cliques: {unknown[:3]!r}")
+        cx.weights[i] = w
     if rule is not None:
         from .generators import radial_weighting  # deferred; generators imports this module
 
         cx = radial_weighting(cx, [_decode_vertex(v) for v in rule["base"]], float(rule["alpha"]))
-    elif explicit:
-        top, weights = _kept(cx, {i: np.isin(np.arange(cx.size(i)), _locate(cx.topology, i, listed))
-                                  for i, listed in explicit.items()})
-        for i, listed in sorted(explicit.items()):
-            # the kept degree-i table holds exactly the listed simplices whose faces stay
-            j = _locate(top, i, listed)
-            if (j < 0).any():
-                unknown = sorted(s for s, k in zip(listed, j.tolist()) if k < 0)
-                raise ValueError(f"degree-{i} weights reference non-cliques: {unknown[:3]!r}")
-            weights[i] = np.empty(len(j))
-            weights[i][j] = list(listed.values())
-        cx = WeightedComplex(top, weights)
     cx.meta.update(_shaped(doc.get("meta") or {}, dict, "'meta'"))
     return cx

@@ -25,8 +25,8 @@ from .complexes import (
     MAX_OFFSPRING_SIMPLICES,
     Topology,
     WeightedComplex,
+    _kept,
     clique_tables,
-    drop_simplices,
     reweighted,
 )
 
@@ -127,9 +127,10 @@ def gen_perturbed_lattice(d: int, n: int, radius: int, region: Iterable[tuple],
     """
     region = region if isinstance(region, Set) else set(region)
     cx = gen_lattice(d, n, radius, adjacency)
-    cx = drop_simplices(cx, n, lambda s: all(v in region for v in s))
-    cx.meta.update(family="perturbed_lattice", region_size=len(region))
-    return cx
+    top = cx.topology
+    inside = np.fromiter(map(region.__contains__, top.vertices), dtype=bool, count=len(top.vertices))
+    top, weights = _kept(cx, {n: inside[top.vertex_index(n)].all(axis=1)})
+    return WeightedComplex(top, weights, meta=dict(cx.meta, family="perturbed_lattice", region_size=len(region)))
 
 
 def gen_alternating_triangulation(radius: int) -> WeightedComplex:

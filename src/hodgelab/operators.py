@@ -251,19 +251,26 @@ EXPORT_CHUNK = 1 << 14
 
 
 def export_coordinate_text(matrix: sp.spmatrix, target) -> None:
-    """Write 1-based (row, col, value) triplets with a shape header.
+    """Write 1-based (row, col, value) triplets with a shape header, each line
+    as ``"%d %d %.17g\\n"`` writes it.
 
-    ``target`` is a path or an open text stream.
+    ``target`` is a path or an open text stream.  Each distinct stored value is
+    formatted once, and values are distinct by bit pattern, so 0.0 and -0.0
+    stay apart; the row and column numbers come from one table of strings.
     """
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    rows, cols, vals = coo.row[order] + 1, coo.col[order] + 1, coo.data[order]
+    values = coo.data[order].astype(np.float64, casting="same_kind")  # complex values are refused, as by %.17g
+    bits, value = np.unique(values.view(np.uint64), return_inverse=True)
+    numbers = np.array(list(map(str, range(max(coo.row.max(initial=0), coo.col.max(initial=0)) + 2))), dtype=object)
+    fields = (numbers[coo.row[order] + 1], numbers[coo.col[order] + 1],
+              np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[value])
 
     def emit(fh):
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
         for a in range(0, len(order), EXPORT_CHUNK):
-            chunk = [x[a:a + EXPORT_CHUNK].tolist() for x in (rows, cols, vals)]
-            fh.write("%d %d %.17g\n" * len(chunk[0]) % tuple(itertools.chain.from_iterable(zip(*chunk))))
+            lines = zip(*(x[a:a + EXPORT_CHUNK].tolist() for x in fields))
+            fh.write("\n".join(itertools.chain(map(" ".join, lines), [""])))
 
     if hasattr(target, "write"):
         emit(target)

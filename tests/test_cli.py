@@ -340,6 +340,23 @@ def test_a_ramp_width_tree_depth_or_tet_parity_out_of_range_is_refused(tmp_path,
     assert err.strip() == message and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--input", "tree.json", "--k-range", "0..3", "--cutoff-n", "1"],
+    ["chi", "--input", "tree.json", "--ramp", "divergence", "--roots", "[[]]", "--k-range", "0..3"],
+])
+def test_a_horizon_above_the_cap_is_refused_before_the_budget_loop(tmp_path, monkeypatch, capsys, argv):
+    """The cut-off budget takes one step per layer up to the horizon, so a
+    horizon above MAX_OFFSPRING_SIMPLICES, which ran without end, is refused
+    at once."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "generate", "--kind", "offspring-tree", "--off", "n^2", "--depth", "4", "--output", "tree.json")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--horizon", "1000000000000")
+    assert time.perf_counter() - start < 5
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: horizon 1000000000000 passes the cap of 10000000 layers" and out == ""
+
+
 def assert_one_line_error(code, err):
     assert code == 1
     lines = err.splitlines()

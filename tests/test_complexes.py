@@ -18,7 +18,7 @@ from hodgelab import (
     weighted_degree,
 )
 from hodgelab import cli, complexes
-from hodgelab.complexes import Topology, reweighted
+from hodgelab.complexes import Topology, _decode_vertex, _encode_vertex, reweighted
 from hodgelab.divergence import LayerDecomposition, growth_table, validate_decomposition
 from hodgelab.generators import (
     gen_alternating_triangulation,
@@ -391,22 +391,22 @@ def test_topology_refuses_tables_without_their_faces():
 
 
 def test_description_load_builds_each_kept_table_once(monkeypatch):
-    """Loading builds the clique complex's topology, plus one for the kept
-    tables when the weight lists leave simplices out."""
+    """Loading builds one topology, from the weight lists, also when they
+    leave cliques out."""
     descriptions = [complex_to_json(offspring_tree_family("n^2", 5)),
                     complex_to_json(gen_perturbed_lattice(2, 2, 4, lattice_cube(4, 2)))]
     built = []
 
     class CountingTopology(Topology):
-        def __init__(self, *args):
+        def __init__(self, *args, **kwargs):
             built.append(args)
-            super().__init__(*args)
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(complexes, "Topology", CountingTopology)
-    for doc, builds in zip(descriptions, (1, 2)):
+    for doc in descriptions:
         built.clear()
         cx = complex_from_json(json.loads(json.dumps(doc)))
-        assert len(built) == builds
+        assert len(built) == 1
         assert complex_to_json(cx) == doc
 
 
@@ -556,3 +556,118 @@ def test_nested_list_ids_decode_to_nested_tuples():
     back = complex_from_json(doc)
     assert back.simplices == cx.simplices
     assert json.loads(json.dumps(complex_to_json(back))) == doc
+
+
+def _label_tuple_description(cx):
+    """The description as written from the label tuples ``cx.simplices``,
+    each id encoded where it occurs: the encoder before position rows."""
+    doc = {
+        "vertices": [{"id": _encode_vertex(v), "m0": w}
+                     for (v,), w in zip(cx.simplices[0], cx.weights[0].tolist())],
+        "edges": [{"u": _encode_vertex(u), "v": _encode_vertex(v), "m1": w}
+                  for (u, v), w in zip(cx.simplices[1], cx.weights[1].tolist())],
+        "max_degree": cx.max_degree,
+        "weights": {str(i): [{"simplex": [_encode_vertex(v) for v in s], "m": float(w)}
+                             for s, w in zip(cx.simplices[i], cx.weights[i])]
+                    for i in range(2, cx.max_degree + 1)},
+    }
+    if cx.meta:
+        doc["meta"] = {k: cx.meta[k] for k in sorted(cx.meta) if complexes._json_safe(cx.meta[k])}
+    return doc
+
+
+def _clique_and_kept_load(doc):
+    """The loader before position rows, on a well-formed description: the
+    whole clique complex of its graph, then ``_kept`` under the masks of the
+    listed label tuples that ``_locate`` finds.  Returns the topology and the
+    weights, or the message of the non-clique refusal."""
+    m0 = {_decode_vertex(v["id"]): v["m0"] for v in doc["vertices"]}
+    m1 = {(_decode_vertex(e["u"]), _decode_vertex(e["v"])): e["m1"] for e in doc["edges"]}
+    cx = build_clique_complex(WeightedGraph(m0, m1), doc["max_degree"])
+    rule = doc.get("weight_rule")
+    if rule:
+        cx = radial_weighting(cx, [_decode_vertex(v) for v in rule["base"]], float(rule["alpha"]))
+    listed = {int(k): {tuple(map(_decode_vertex, item["simplex"])): float(item["m"]) for item in items}
+              for k, items in (doc.get("weights") or {}).items()}
+    top, weights = complexes._kept(cx, {i: np.isin(np.arange(cx.size(i)), complexes._locate(cx.topology, i, keys))
+                                        for i, keys in listed.items()})
+    for i, keys in sorted(listed.items()):
+        j = complexes._locate(top, i, keys)
+        if (j < 0).any():
+            unknown = sorted(s for s, k in zip(keys, j.tolist()) if k < 0)
+            return f"degree-{i} weights reference non-cliques: {unknown[:3]!r}"
+        weights[i] = np.empty(len(j))
+        weights[i][j] = list(keys.values())
+    return top, weights
+
+
+_ID_KINDS = {"int": lambda v: v, "str": lambda v: f"v{v:02d}", "nested list": lambda v: (v // 10, (v % 10, "x"))}
+
+
+@given(weighted_graph_complexes(), st.sampled_from(sorted(_ID_KINDS)), st.sampled_from([None, 0.5, 2.0]), st.data())
+def test_descriptions_match_the_label_tuple_encoder_and_the_clique_and_kept_loader(graph, ids, alpha, data):
+    """On int, str and nested-list ids, with explicit or radial weights and a
+    meta with a value JSON cannot hold: the description text is the label
+    tuple encoder's; a description listing every degree, some or none, each
+    list whole or in part, loads to the tables and weights, bit for bit, of
+    the whole clique complex masked by ``_kept``, or to its non-clique
+    refusal; and a NaN weight, which the bulk decoding meets first, is
+    refused with the per-entry message, where a min/max check passes it."""
+    _, _, drawn = graph
+    label = _ID_KINDS[ids]
+    m0 = {label(v): w for (v,), w in zip(drawn.simplices[0], drawn.weights[0].tolist())}
+    m1 = {(label(u), label(v)): w for (u, v), w in zip(drawn.simplices[1], drawn.weights[1].tolist())}
+    cx = reweighted(build_clique_complex(WeightedGraph(m0, m1), drawn.max_degree), drawn.weights,
+                    meta={"ids": ids, "opaque": object()})
+    top = cx.topology
+    base = [top.vertices[k] for k in np.unique(top.components, return_index=True)[1]]
+    if alpha is not None:
+        cx = radial_weighting(cx, base, alpha)
+    text = cli._dumps(complex_to_json(cx))
+    assert text == cli._dumps(_label_tuple_description(cx))
+    assert text == json.dumps(_label_tuple_description(cx), sort_keys=True, indent=2)
+
+    doc = json.loads(text)
+    if alpha is not None and data.draw(st.booleans()):
+        doc["weights"] = {}
+        doc["weight_rule"] = {"kind": "radial", "base": [_encode_vertex(v) for v in base], "alpha": alpha}
+    else:
+        lists = {"0": [{"simplex": [v["id"]], "m": 2 * v["m0"]} for v in doc["vertices"]],
+                 "1": [{"simplex": [e["u"], e["v"]], "m": e["m1"]} for e in doc["edges"]], **doc["weights"]}
+        doc["weights"] = {}
+        for k, entries in lists.items():
+            how = data.draw(st.sampled_from(["whole", "none", "part"] if int(k) >= 2 else ["none", "whole", "part"]))
+            if how == "part":
+                entries = [e for e, keep in zip(entries, _flags(data, entries)) if keep]
+            if how != "none":
+                doc["weights"][k] = entries
+    want = _clique_and_kept_load(doc)
+    try:
+        got = complex_from_json(json.loads(json.dumps(doc)))
+    except ValueError as err:
+        assert str(err) == want
+    else:
+        kept, weights = want
+        assert got.topology.vertices == kept.vertices
+        for i in range(cx.max_degree + 1):
+            assert np.array_equal(got.topology.vertex_index(i), kept.vertex_index(i))
+            assert got.weights[i].dtype == np.float64
+            assert got.weights[i].tobytes() == np.asarray(weights[i], dtype=float).tobytes()
+        assert got.meta.items() >= doc["meta"].items()
+
+    for what, k in (("vertices", "m0"), ("edges", "m1"), *[(str(i), "m") for i in range(2, cx.max_degree + 1)]):
+        bad = json.loads(text)
+        entries = bad[what] if k != "m" else bad["weights"][what]
+        if not entries:
+            continue
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        entry[k] = float("nan")
+        with pytest.raises(ValueError) as err:
+            complex_from_json(bad)
+        if k == "m0":
+            name = f"m0({_decode_vertex(entry['id'])!r})"
+        elif k == "m1":
+            name = f"m1({_decode_vertex(entry['u'])!r},{_decode_vertex(entry['v'])!r})"
+        else:
+            name = f"degree-{what} weight m{tuple(map(_decode_vertex, entry['simplex']))!r}"
+        assert str(err.value) == f"{name} = nan must be finite and positive"

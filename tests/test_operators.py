@@ -259,6 +259,31 @@ def test_coordinate_text_is_the_per_line_format(tmp_path, monkeypatch, chunk):
         assert (tmp_path / "block.txt").read_text() == buf.getvalue()
 
 
+@pytest.mark.parametrize("chunk", [operators.EXPORT_CHUNK, 3])
+def test_coordinate_text_keeps_both_zeros_and_every_nan_of_one_block(monkeypatch, chunk):
+    """+0.0 and -0.0, NaNs of three bit patterns, +-inf and repeated values,
+    stored in one block, export as the per-line "%d %d %.17g\\n" formula
+    writes them.  A unique over float keys merges the two zeros (0.0 ==
+    -0.0), so one of them is written with the other's sign."""
+    monkeypatch.setattr(operators, "EXPORT_CHUNK", chunk)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    values = [0.0, -0.0, *nans, float("inf"), -float("inf"), 1.5, -0.0, 0.0, 1 / 3, 1.5, nans[1], -float("inf"),
+              0.0, -0.0, 1 / 3, float("inf")]
+    block = sp.csr_matrix(sp.coo_matrix((values, ([k // 4 for k in range(len(values))],
+                                                  [(3 * k) % 4 for k in range(len(values))])), shape=(5, 4)))
+    assert block.nnz == len(values)
+    coo = block.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    want = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n" + "".join(
+        "%d %d %.17g\n" % (r, c, v)
+        for r, c, v in zip((coo.row[order] + 1).tolist(), (coo.col[order] + 1).tolist(), coo.data[order].tolist()))
+    buf = io.StringIO()
+    export_coordinate_text(block, buf)
+    assert buf.getvalue() == want
+    written = [line.split()[2] for line in want.splitlines()[1:]]
+    assert written.count("0") == 3 and written.count("-0") == 3 and written.count("nan") == 4
+
+
 def test_lattice_operators_exact_identities():
     cx = gen_lattice(2, 2, 4)
     d0 = coboundary_matrix(cx, 0)
