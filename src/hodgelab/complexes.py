@@ -639,7 +639,7 @@ def complex_from_json(doc: dict) -> WeightedComplex:
     if 0 in listed:  # the listed vertices stay, renumbered in order
         keep = np.isin(np.arange(len(vertices)), listed[0][0])
         renumber = np.append(np.where(keep, np.cumsum(keep) - 1, -1), -1)
-        vertices = [v for v, k in zip(vertices, keep.tolist()) if k]
+        vertices = [v for v, kept in zip(vertices, keep.tolist()) if kept]
         ends, listed = renumber[ends], {i: (renumber[rows], *rest) for i, (rows, *rest) in listed.items()}
     inside = (ends >= 0).all(axis=1)  # an edge stays where its vertices do and, if edges are listed, it is
     if 1 in listed:
