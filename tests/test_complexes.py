@@ -624,6 +624,7 @@ def test_descriptions_match_the_label_tuple_encoder_and_the_clique_and_kept_load
     if alpha is not None:
         cx = radial_weighting(cx, base, alpha)
     text = cli._dumps(complex_to_json(cx))
+    assert cx.topology._simplices is None  # written from the tables, without label tuples
     assert text == cli._dumps(_label_tuple_description(cx))
     assert text == json.dumps(_label_tuple_description(cx), sort_keys=True, indent=2)
 
@@ -648,6 +649,7 @@ def test_descriptions_match_the_label_tuple_encoder_and_the_clique_and_kept_load
         assert str(err) == want
     else:
         kept, weights = want
+        assert got.topology._simplices is None
         assert got.topology.vertices == kept.vertices
         for i in range(cx.max_degree + 1):
             assert np.array_equal(got.topology.vertex_index(i), kept.vertex_index(i))
