@@ -62,8 +62,7 @@ _STEP = np.where(_KIND == 2, 0, _KIND)
 def _dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` from the C encoder's compact text: outside
     strings, a newline and two spaces per depth go after each non-empty opener and each comma
-    and before each non-empty closer, and a space after each colon.  Reports are trees, so the
-    encoder's cycle check is off."""
+    and before each non-empty closer, and a space after each colon; reports are trees, so no cycle check."""
     data = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False).encode()
     text = np.frombuffer(data, np.uint8)
     pos = np.flatnonzero(_KIND[text])

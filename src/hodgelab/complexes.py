@@ -582,13 +582,12 @@ def _edge_pairs(items: list) -> list:
 def complex_from_json(doc: dict) -> WeightedComplex:
     """Rebuild a complex from its description document.
 
-    Explicit per-degree weight lists define that degree's simplices exactly:
-    its table is built from its list.  A degree without a list takes weight 1
-    on every clique whose faces are present, by ``clique_tables``' extension
-    of the table below.  A ``weight_rule`` of kind ``radial`` replaces every
-    weight instead, and any other rule is refused.  The description's
-    ``meta`` is kept.  A value of the wrong JSON shape is refused with a
-    ValueError that names its key.
+    A degree with a weights list has exactly the listed simplices, its table
+    built from the list; a degree without one takes weight 1 on every clique
+    whose faces are present (``clique_tables``).  A ``weight_rule`` of kind
+    ``radial`` replaces every weight instead, and any other rule is refused.
+    The description's ``meta`` is kept.  A value of the wrong JSON shape is
+    refused with a ValueError that names its key.
     """
     _shaped(doc, dict, "document")
     m0 = _listed(_shaped(doc["vertices"], list, "'vertices'"), "'vertices' entry",
@@ -633,27 +632,27 @@ def complex_from_json(doc: dict) -> WeightedComplex:
         # one row of positions per label tuple, -1 for a label that is no vertex and for a tuple of another length
         rows = np.array([[position.get(v, -1) for v in s] if len(s) == width else [-1] * width for s in keys],
                         dtype=np.int64).reshape(-1, width)
-        order = np.lexsort(rows.T[::-1])
-        listed[int(k)] = rows[order], np.array(list(keys.values()))[order], list(keys), order
+        listed[int(k)] = rows, np.array(list(keys.values())), list(keys)
 
     if 0 in listed:  # the listed vertices stay, renumbered in order
         keep = np.isin(np.arange(len(vertices)), listed[0][0])
         renumber = np.append(np.where(keep, np.cumsum(keep) - 1, -1), -1)
         vertices = [v for v, kept in zip(vertices, keep.tolist()) if kept]
         ends, listed = renumber[ends], {i: (renumber[rows], *rest) for i, (rows, *rest) in listed.items()}
+    valid = {i: rows[(rows >= 0).all(axis=1) & (np.diff(rows, axis=1) > 0).all(axis=1)]  # kept vertices, increasing
+             for i, (rows, *_) in listed.items()}
     inside = (ends >= 0).all(axis=1)  # an edge stays where its vertices do and, if edges are listed, it is
-    if 1 in listed:
-        (u, v), n0 = listed[1][0].T, len(vertices)
-        inside &= np.isin(ends[:, 0] * n0 + ends[:, 1], u * n0 + v)
-    cx = _clique_complex(vertices, m0, ends[inside], m1[inside], n, {
-        i: rows[(rows >= 0).all(axis=1) & (np.diff(rows, axis=1) > 0).all(axis=1)]
-        for i, (rows, *_) in listed.items() if i >= 2})
-    for i, (rows, w, keys, order) in sorted(listed.items()):
-        # the degree-i table holds the listed rows whose faces are present; all of them, when as many
-        if cx.size(i) != len(rows):
-            unknown = sorted(keys[j] for j in np.sort(order[cx.topology._find(rows) < 0]))
+    if 1 in valid:  # by codes u * n0 + v
+        inside &= np.isin(ends @ [len(vertices), 1], valid[1] @ [len(vertices), 1])
+    cx = _clique_complex(vertices, m0, ends[inside], m1[inside], n,
+                         {i: rows[np.lexsort(rows.T[::-1])] for i, rows in valid.items() if i >= 2})
+    for i, (rows, w, keys) in sorted(listed.items()):
+        # listed rows are distinct, so the table is exactly the list when each is found and no more stay
+        j = cx.topology._find(rows)
+        if (j < 0).any() or len(j) != cx.size(i):
+            unknown = sorted(s for s, found in zip(keys, j.tolist()) if found < 0)
             raise ValueError(f"degree-{i} weights reference non-cliques: {unknown[:3]!r}")
-        cx.weights[i] = w
+        cx.weights[i][j] = w
     if rule is not None:
         from .generators import radial_weighting  # deferred; generators imports this module
 

@@ -254,16 +254,18 @@ def export_coordinate_text(matrix: sp.spmatrix, target) -> None:
     """Write 1-based (row, col, value) triplets with a shape header, each line
     as ``"%d %d %.17g\\n"`` writes it.
 
-    ``target`` is a path or an open text stream.  Each distinct stored value is
-    formatted once, and values are distinct by bit pattern, so 0.0 and -0.0
-    stay apart; the row and column numbers come from one table of strings.
+    ``target`` is a path or an open text stream.  Each distinct stored value
+    (by bit pattern, so 0.0 and -0.0 stay apart) and each row and column
+    number that occurs is formatted once.
     """
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
     values = coo.data[order].astype(np.float64, casting="same_kind")  # complex values are refused, as by %.17g
     bits, value = np.unique(values.view(np.uint64), return_inverse=True)
-    numbers = np.array(list(map(str, range(max(coo.row.max(initial=0), coo.col.max(initial=0)) + 2))), dtype=object)
-    fields = (numbers[coo.row[order] + 1], numbers[coo.col[order] + 1],
+    row, col, numbers = coo.row[order] + 1, coo.col[order] + 1, np.empty(max(coo.shape) + 1, dtype=object)
+    used = np.flatnonzero(np.bincount(np.concatenate((row, col))))
+    numbers[used] = list(map(str, used.tolist()))
+    fields = (numbers[row], numbers[col],
               np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[value])
 
     def emit(fh):

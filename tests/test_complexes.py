@@ -196,6 +196,22 @@ def test_listed_simplex_without_its_faces_is_refused(K4):
         complex_from_json(doc)
 
 
+@pytest.mark.parametrize("listed, unknown", [
+    ({"1": [[0, 1], [1, 99]]}, "[(1, 99)]"),  # 99 is no vertex
+    ({"0": [[0], [1], [2]], "1": [[0, 1], [1, 3]]}, "[(1, 3)]"),  # the degree-0 list drops vertex 3
+])
+def test_listed_edge_off_the_kept_vertices_is_refused(listed, unknown):
+    """A listed edge with a vertex that is unknown or not kept is refused, not
+    read as the edge (0, 3) or (0, 2) whose position code u * n0 + v it shares
+    when that vertex's position reads as -1."""
+    doc = {"vertices": [{"id": v, "m0": 1.0} for v in range(4)],
+           "edges": [{"u": u, "v": v, "m1": 1.0} for u, v in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]],
+           "max_degree": 1, "weights": {k: [{"simplex": s, "m": 5.0} for s in rows] for k, rows in listed.items()}}
+    with pytest.raises(ValueError) as err:
+        complex_from_json(doc)
+    assert str(err.value) == f"degree-1 weights reference non-cliques: {unknown}"
+
+
 def test_json_default_weights_are_one():
     doc = {
         "vertices": [{"id": v, "m0": 1.0} for v in "abc"],
@@ -611,7 +627,7 @@ def test_descriptions_match_the_label_tuple_encoder_and_the_clique_and_kept_load
     tuple encoder's; a description listing every degree, some or none, each
     list whole or in part, loads to the tables and weights, bit for bit, of
     the whole clique complex masked by ``_kept``, or to its non-clique
-    refusal; and a NaN weight, which the bulk decoding meets first, is
+    refusal, also where a list names a vertex that is not there; and a NaN weight, which the bulk decoding meets first, is
     refused with the per-entry message, where a min/max check passes it."""
     _, _, drawn = graph
     label = _ID_KINDS[ids]
@@ -641,6 +657,9 @@ def test_descriptions_match_the_label_tuple_encoder_and_the_clique_and_kept_load
             if how == "part":
                 entries = [e for e, keep in zip(entries, _flags(data, entries)) if keep]
             if how != "none":
+                if entries and data.draw(st.sampled_from([False, False, True])):  # and one naming no vertex
+                    stray = entries[data.draw(st.integers(0, len(entries) - 1))]["simplex"]
+                    entries = [*entries, {"simplex": [*stray[:-1], _encode_vertex(label(99))], "m": 1.0}]
                 doc["weights"][k] = entries
     want = _clique_and_kept_load(doc)
     try:

@@ -259,6 +259,20 @@ def test_coordinate_text_is_the_per_line_format(tmp_path, monkeypatch, chunk):
         assert (tmp_path / "block.txt").read_text() == buf.getvalue()
 
 
+def test_coordinate_text_formats_only_the_numbers_that_occur(monkeypatch):
+    """Three entries in a block of a million rows and columns: the text is the
+    per-line format's, and only the row and column numbers that occur are
+    made into strings."""
+    made = []
+    monkeypatch.setattr(operators, "str", lambda x: made.append(x) or str(x), raising=False)
+    block = sp.csr_matrix(sp.coo_matrix(([2.0, 2.0, 2.0], ([0, 999_999, 999_999], [7, 2, 999_998])),
+                                        shape=(10 ** 6, 10 ** 6)))
+    buf = io.StringIO()
+    export_coordinate_text(block, buf)
+    assert buf.getvalue() == _per_line_coordinate_text(block)
+    assert sorted(made) == [1, 3, 8, 999_999, 1_000_000]
+
+
 @pytest.mark.parametrize("chunk", [operators.EXPORT_CHUNK, 3])
 def test_coordinate_text_keeps_both_zeros_and_every_nan_of_one_block(monkeypatch, chunk):
     """+0.0 and -0.0, NaNs of three bit patterns, +-inf and repeated values,
