@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .complexes import (
     WeightedComplex,
-    WeightedGraph,
     build_clique_complex,
     canonical_sign,
     complex_from_json,
@@ -28,7 +27,6 @@ from .operators import (
 __all__ = [
     "__version__",
     "WeightedComplex",
-    "WeightedGraph",
     "build_clique_complex",
     "canonical_sign",
     "complex_from_json",

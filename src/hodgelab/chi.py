@@ -21,7 +21,6 @@ take a ``{label: value}`` mapping, read once with 0.0 where it has no entry.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Set
 from dataclasses import dataclass, field
@@ -76,14 +75,11 @@ class Exhaustion:
     """Vertex layers and the exhaustion O_k = {layer <= k} that they define.
 
     ``layer`` is a read-only int64 array over ``vertices``, the complex's
-    degree-0 table, -1 where a vertex has no layer; ``dist`` (or
-    ``layer_of``), ``set_at``, ``excluded``, ``layers`` and ``num_layers``
-    are label views of it.  ``==`` is identity.
+    degree-0 table, -1 where a vertex has no layer.  ``==`` is identity.
     """
 
     vertices: list = field(repr=False)
     layer: np.ndarray = field(repr=False)
-    roots: tuple = ()
 
     def __post_init__(self):
         self.layer = np.array(self.layer, dtype=np.int64)
@@ -91,25 +87,10 @@ class Exhaustion:
             raise ValueError("a layering needs one integer >= -1 per vertex of its table")
         self.layer.setflags(write=False)
 
-    @functools.cached_property
-    def dist(self) -> dict:
-        """``{label: layer}`` over the vertices with a layer, in table order."""
-        return {v: d for v, d in zip(self.vertices, self.layer.tolist()) if d >= 0}
-
-    layer_of = property(lambda self: self.dist)
-
     @property
     def excluded(self) -> tuple:
         """The vertices without a layer, in table order."""
         return tuple(v for v, d in zip(self.vertices, self.layer.tolist()) if d < 0)
-
-    def set_at(self, k: int) -> set:
-        return {v for v, d in self.dist.items() if d <= k}
-
-    @functools.cached_property
-    def layers(self) -> list:
-        """``layers[k]`` lists the vertices of layer k in table order."""
-        return [[v for v, d in self.dist.items() if d == k] for k in range(self.num_layers())]
 
     def num_layers(self) -> int:
         return int(self.layer.max(initial=-1)) + 1
@@ -123,9 +104,7 @@ def make_ball_exhaustion(cx: WeightedComplex, roots: Iterable, k_max: int) -> Ex
     roots = list(roots)
     if not roots:
         raise ValueError("roots must be nonempty")
-    # looked up first: vertices are mutually comparable, so the sort cannot raise
-    distance = cx.topology.distances_from(roots)
-    return Exhaustion(cx.topology.vertices, distance, roots=tuple(sorted(set(roots))))
+    return Exhaustion(cx.topology.vertices, cx.topology.distances_from(roots))
 
 
 def _same_table(cx: WeightedComplex, vertices: list, what: str) -> None:
@@ -317,7 +296,11 @@ def _energy_row(cx: WeightedComplex, cutoffs: CutoffSystem, degree: int) -> list
         for column in rest:
             band |= c[column] != head
         keep = np.flatnonzero(band[t])
-        faces, inv = np.unique(j[keep], return_inverse=True)
+        # j is sorted, so the faces and their indices are read off the runs of j[keep]
+        jk = j[keep]
+        start = np.ones(len(jk), dtype=bool)
+        start[1:] = jk[1:] != jk[:-1]
+        faces, inv = jk[start], np.cumsum(start) - 1
         bar = _simplex_means(cx, c, base, faces)
         val = _local_energy(cx, c, bar, base, (inv, x[keep], t[keep])) / cx.weights[base][faces]
         row.append(float(val.max()) if val.size and val.max() > 0 else 0.0)

@@ -158,12 +158,11 @@ def cmd_chi(args) -> int:
         cx = induced_subcomplex(cx, region)
     else:
         coupling = None
-    exh = chi_mod.make_ball_exhaustion(cx, _roots_for(cx, args), max(ks))
     if args.ramp == "linear":
+        exh = chi_mod.make_ball_exhaustion(cx, _roots_for(cx, args), max(ks))
         ramp = ("linear", args.ramp_width)
     else:
-        if exh.excluded:
-            raise ValueError(f"{len(exh.excluded)} vertices unreachable from roots")
+        exh = div_mod.layers_by_distance(cx, _roots_for(cx, args))
         # the outermost layer has no forward layer; its zero count is a
         # truncation artifact, so the budget extends the last interior value
         interior = range(max(1, exh.num_layers() - 1))

@@ -22,7 +22,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
-    "WeightedGraph",
     "WeightedComplex",
     "Topology",
     "canonical_sign",
@@ -77,37 +76,6 @@ def _positive_weight(w, what: str, *args) -> float:
     return w
 
 
-class WeightedGraph:
-    """Locally finite weighted graph (V, m0, m1), the validated input of
-    ``build_clique_complex``; the complex keeps its weights, not the graph.
-
-    ``m0`` maps each vertex to a positive weight; ``m1`` is a symmetric edge
-    weight, and an edge exists exactly where ``m1 > 0``.  Loops are rejected.
-    """
-
-    def __init__(self, m0: Mapping[Vertex, float], m1: Mapping[tuple, float]):
-        try:
-            self.vertices = sorted(m0)
-        except TypeError:
-            raise ValueError("vertex ids must be mutually comparable (e.g. not mixed int and str)") from None
-        self.m0 = {v: _positive_weight(w, "m0({!r})", v) for v, w in m0.items()}
-        self.m1: dict[tuple, float] = {}
-        for (u, v), w in m1.items():
-            w = float(w)
-            if not 0 <= w < math.inf:
-                raise ValueError(f"m1({u!r},{v!r}) = {w} must be finite and nonnegative")
-            if u == v:
-                raise ValueError(f"loop at {u!r} not allowed")
-            if u not in self.m0 or v not in self.m0:
-                raise ValueError(f"edge ({u!r},{v!r}) references unknown vertex")
-            key = (u, v) if u < v else (v, u)
-            prev = self.m1.get(key)
-            if prev is not None and prev != w:
-                raise ValueError(f"asymmetric weight for edge {key!r}")
-            if w > 0:
-                self.m1[key] = w
-
-
 def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges ``starts[k] .. starts[k] + counts[k] - 1``, concatenated."""
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
@@ -121,17 +89,16 @@ class Topology:
     rows in lexicographic order.  These are the only stored form of the
     simplices.  Column l of ``face_arrays[i]`` is the index of the face
     omitting vertex l (``face_arrays[0]`` has no columns).  ``extension_coo``,
-    ``incidence``, ``components``, ``betti`` and the label tuples
-    ``simplices`` are derived on first use and cached.  Every reweighting
-    shares the topology.  With ``prune``, a row with a face missing from the
-    table below is dropped instead of refused.
+    ``incidence``, ``components``, ``betti``, the label tuples ``simplices``
+    and the label-to-position map ``_position`` are derived on first use and
+    cached.  Every reweighting shares the topology.  With ``prune``, a row
+    with a face missing from the table below is dropped instead of refused.
     """
 
     def __init__(self, vertices: list, tables: Sequence[np.ndarray], prune: bool = False):
         self.vertices = vertices
         self.max_degree = len(tables)
         n0 = len(vertices)
-        self._position = {v: j for j, v in enumerate(vertices)}
         self._vertex_index = [np.arange(n0, dtype=np.int64).reshape(-1, 1)]
         self.face_arrays: list[np.ndarray] = [np.zeros((n0, 0), dtype=np.int64)]
         # codes[i] codes each degree-i simplex as (index of its face omitting the
@@ -180,6 +147,11 @@ class Topology:
             self._simplices = [list(zip(*(map(label, column) for column in V.T.tolist())))
                                for V in self._vertex_index]
         return self._simplices
+
+    @cached_property
+    def _position(self) -> dict:
+        """``{label: position}`` over ``vertices``, for the label lookups."""
+        return {v: j for j, v in enumerate(self.vertices)}
 
     @cached_property
     def _adjacency(self) -> sp.csr_matrix:
@@ -377,32 +349,65 @@ def clique_tables(n0: int, edges: np.ndarray, n: int,
     return tables
 
 
-def build_clique_complex(graph: WeightedGraph, n: int) -> WeightedComplex:
-    """The clique complex of ``graph`` up to degree n, by ``clique_tables`` on
-    its vertex positions: degrees 0 and 1 carry m0 and m1, the others weight 1."""
-    return _clique_complex(graph.vertices, graph.m0, _edge_rows(graph.vertices, graph.m1), graph.m1.values(), n)
+def build_clique_complex(m0: Mapping[Vertex, float], m1: Mapping[tuple, float], n: int) -> WeightedComplex:
+    """The clique complex up to degree n of the locally finite weighted graph
+    (V, m0, m1), by ``clique_tables`` on its vertex positions: degrees 0 and 1
+    carry m0 and m1, the others weight 1.
+
+    ``m0`` maps each vertex to a positive weight; ``m1`` is a symmetric edge
+    weight, and an edge exists exactly where ``m1 > 0``.  Loops are rejected.
+    """
+    m0 = {v: _positive_weight(w, "m0({!r})", v) for v, w in m0.items()}
+    pairs, weights = [(u, v) for u, v in m1], np.array(list(map(float, m1.values())))
+    bad = np.flatnonzero(~((weights >= 0) & (weights < math.inf)))
+    if bad.size:
+        u, v = pairs[bad[0]]
+        raise ValueError(f"m1({u!r},{v!r}) = {weights[bad[0]]} must be finite and nonnegative")
+    position, ends, weights = _graph(m0, pairs, weights)
+    edge = weights > 0
+    return _clique_complex(list(position), m0, ends[edge], weights[edge], n)
 
 
-def _edge_rows(vertices: list, edges: Iterable[tuple]) -> np.ndarray | None:
-    """``(E, 2)`` int64 positions in the sorted ``vertices`` of the pairs ``edges``, smaller
-    first; None when a pair is a loop, names no vertex, or repeats another in either order."""
+def _graph(m0: Mapping, pairs: Sequence[tuple], m1: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The graph of vertex weights ``m0`` and label pairs ``pairs`` with edge
+    weights ``m1``, as ``(position, ends, m1)``: ``position`` maps each vertex
+    to its place in sorted order, ``ends`` holds the ``(E, 2)`` int64 rows of
+    the edges' positions, smaller first, rows in lexicographic order, and
+    ``m1`` their weights.  An edge listed again with its weight is kept once.
+    Mixed ids, and the first pair that is a loop, names no vertex, or repeats
+    an edge with another weight, are refused with a ValueError.
+    """
+    try:
+        vertices = sorted(m0)
+    except TypeError:
+        raise ValueError("vertex ids must be mutually comparable (e.g. not mixed int and str)") from None
     position = {v: j for j, v in enumerate(vertices)}
-    ends = np.sort(np.fromiter(map(position.get, itertools.chain.from_iterable(edges), itertools.repeat(-1)),
+    ends = np.sort(np.fromiter(map(position.get, itertools.chain.from_iterable(pairs), itertools.repeat(-1)),
                                dtype=np.int64).reshape(-1, 2), axis=1)
-    codes = ends[:, 0] * len(vertices) + ends[:, 1]
-    ok = (ends[:, 0] >= 0).all() and (ends[:, 0] < ends[:, 1]).all() and len(np.unique(codes)) == len(codes)
-    return ends if ok else None
+    # first[k]: the first pair in list order of the k-th edge by code
+    _, first, inverse = np.unique(ends[:, 0] * len(vertices) + ends[:, 1], return_index=True, return_inverse=True)
+    ref = first[inverse]
+    bad = (ends[:, 0] < 0) | (ends[:, 0] == ends[:, 1]) | (m1 != m1[ref])
+    if bad.any():
+        e = int(np.argmax(bad))
+        u, v = pairs[e]
+        if u == v:
+            raise ValueError(f"loop at {u!r} not allowed")
+        if ends[e, 0] < 0:
+            raise ValueError(f"edge ({u!r},{v!r}) references unknown vertex")
+        if any(pairs[i] == (u, v) and m1[i] != m1[e] for i in np.flatnonzero(ref[:e] == ref[e]).tolist()):
+            raise ValueError(f"edge ({u!r},{v!r}) listed twice with different weights")
+        raise ValueError(f"asymmetric weight for edge {(u, v) if u < v else (v, u)!r}")
+    return position, ends[first], m1[first]
 
 
-def _clique_complex(vertices: list, m0: Mapping, ends: np.ndarray, m1: Iterable[float], n: int,
+def _clique_complex(vertices: list, m0: Mapping, ends: np.ndarray, m1: np.ndarray, n: int,
                     listed: Mapping[int, np.ndarray] | None = None) -> WeightedComplex:
-    """``build_clique_complex`` on the rows ``ends`` of ``_edge_rows``, m1 given per row; the
+    """``build_clique_complex`` on the edge rows ``ends`` and weights ``m1`` of ``_graph``; the
     degrees in ``listed`` take those rows (``clique_tables``), kept where their faces are."""
     n0 = len(vertices)
-    order = np.argsort(ends[:, 0] * n0 + ends[:, 1])
-    top = Topology(vertices, clique_tables(n0, ends[order], n, listed), prune=bool(listed))
-    weights = [np.fromiter(map(m0.__getitem__, vertices), dtype=float, count=n0),
-               np.fromiter(m1, dtype=float, count=len(ends))[order]]
+    top = Topology(vertices, clique_tables(n0, ends, n, listed), prune=bool(listed))
+    weights = [np.fromiter(map(m0.__getitem__, vertices), dtype=float, count=n0), m1]
     weights += [np.ones(len(top.vertex_index(i))) for i in range(2, n + 1)]
     return WeightedComplex(top, weights)
 
@@ -593,19 +598,19 @@ def complex_from_json(doc: dict) -> WeightedComplex:
     m0 = _listed(_shaped(doc["vertices"], list, "'vertices'"), "'vertices' entry",
                  lambda items: _decode_ids([item["id"] for item in items]), "m0", "m0({!r})", "vertex {!r}")
     edges = _shaped(doc["edges"], list, "'edges'")
-    try:  # in bulk, when each edge joins two vertices once with a finite, positive weight
-        vertices = sorted(m0)
-        ends = _edge_rows(vertices, _edge_pairs(edges))
+    try:  # in bulk, when each edge entry holds two hashable ids and a finite, positive weight
+        pairs = _edge_pairs(edges)
+        hash(tuple(pairs))
         m1 = np.array(list(map(float, [item["m1"] for item in edges])))
-        if ends is None or not ((m1 > 0) & (m1 < math.inf)).all():
+        if not ((m1 > 0) & (m1 < math.inf)).all():
             raise ValueError
     except (TypeError, KeyError, ValueError, OverflowError):
-        # entry by entry: _listed refuses the first bad entry, and WeightedGraph mixed ids or
-        # the first bad edge; each merges an entry listed twice with one weight
-        graph = WeightedGraph(m0, _listed(edges, "'edges' entry", _edge_pairs, "m1", "m1({0[0]!r},{0[1]!r})",
-                                          "edge ({0[0]!r},{0[1]!r})"))
-        vertices, m0 = graph.vertices, graph.m0
-        ends, m1 = _edge_rows(vertices, graph.m1), np.fromiter(graph.m1.values(), float, len(graph.m1))
+        # entry by entry: _listed refuses the first malformed entry
+        by_pair = _listed(edges, "'edges' entry", _edge_pairs, "m1", "m1({0[0]!r},{0[1]!r})",
+                          "edge ({0[0]!r},{0[1]!r})")
+        pairs, m1 = list(by_pair), np.array(list(by_pair.values()))
+    position, ends, m1 = _graph(m0, pairs, m1)
+    vertices = list(position)
     n = _shaped(doc["max_degree"], int, "'max_degree'")
     rule = doc.get("weight_rule")
     if rule is not None:
@@ -619,7 +624,7 @@ def complex_from_json(doc: dict) -> WeightedComplex:
         _shaped(rule["alpha"], (int, float), "weight_rule 'alpha'")
         if doc.get("weights"):
             raise ValueError("a description gives either weights lists or a weight_rule, not both")
-    position, listed = {v: j for j, v in enumerate(vertices)}, {}
+    listed = {}
     for k, lst in _shaped(doc.get("weights") or {}, dict, "'weights'").items():
         if not 0 <= int(k) <= n:
             raise ValueError(f"weights of degree {k} outside 0..{n}")
@@ -650,7 +655,11 @@ def complex_from_json(doc: dict) -> WeightedComplex:
         # listed rows are distinct, so the table is exactly the list when each is found and no more stay
         j = cx.topology._find(rows)
         if (j < 0).any() or len(j) != cx.size(i):
-            unknown = sorted(s for s, found in zip(keys, j.tolist()) if found < 0)
+            unknown = [s for s, found in zip(keys, j.tolist()) if found < 0]
+            try:
+                unknown = sorted(unknown)
+            except TypeError:  # ids that do not compare keep their list order
+                pass
             raise ValueError(f"degree-{i} weights reference non-cliques: {unknown[:3]!r}")
         cx.weights[i][j] = w
     if rule is not None:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from hodgelab import WeightedGraph, build_clique_complex, drop_simplices
+from hodgelab import build_clique_complex, drop_simplices
 
 
 # property tests draw the same examples on every run, with no example
@@ -12,7 +12,8 @@ settings.load_profile("hodgelab")
 
 
 def unit_graph(vertices, edges):
-    return WeightedGraph({v: 1.0 for v in vertices}, {e: 1.0 for e in edges})
+    """The weights ``(m0, m1)`` of ``build_clique_complex``, 1.0 on every vertex and edge."""
+    return {v: 1.0 for v in vertices}, {e: 1.0 for e in edges}
 
 
 def k3_description(m0=1.0, m1=1.0, m=1.0):
@@ -29,29 +30,29 @@ def k3_description(m0=1.0, m1=1.0, m=1.0):
 
 @pytest.fixture
 def K3():
-    return build_clique_complex(unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 2)
+    return build_clique_complex(*unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 2)
 
 
 @pytest.fixture
 def K4():
     edges = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
-    return build_clique_complex(unit_graph("abcd", edges), 3)
+    return build_clique_complex(*unit_graph("abcd", edges), 3)
 
 
 @pytest.fixture
 def single_edge():
-    return build_clique_complex(unit_graph("ab", [("a", "b")]), 1)
+    return build_clique_complex(*unit_graph("ab", [("a", "b")]), 1)
 
 
 @pytest.fixture
 def path3():
-    return build_clique_complex(unit_graph("abc", [("a", "b"), ("b", "c")]), 2)
+    return build_clique_complex(*unit_graph("abc", [("a", "b"), ("b", "c")]), 2)
 
 
 @pytest.fixture
 def four_cycle():
     edges = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
-    return build_clique_complex(unit_graph("abcd", edges), 2)
+    return build_clique_complex(*unit_graph("abcd", edges), 2)
 
 
 @pytest.fixture

@@ -189,7 +189,7 @@ def test_criterion_4b_perturbed_lattice_growing():
     region = lattice_cube(8, 2)
     cx = gen_perturbed_lattice(2, 2, 24, region)
     exh, prof = _lattice_profile(cx, 2, 20)
-    k_R = max(exh.dist[v] for v in region)
+    k_R = max(d for v, d in zip(exh.vertices, exh.layer.tolist()) if v in region)
     row = [float(x) for x in prof.row(2)]
     verdict = prof.row_verdicts[2]
     assert _max_cofaces(cx, 1) <= 2 and all((w == 1.0).all() for w in cx.weights)
@@ -249,7 +249,7 @@ def test_criterion_5_divergence_cutoffs_and_step3():
     u = []
     for d in range(cx.max_degree + 1):
         vals = rng.standard_normal(cx.size(d))
-        vals *= np.array([0.25 ** min(layers.layer_of[v] for v in s) for s in cx.simplices[d]])
+        vals *= 0.25 ** layers.layer[cx.topology.vertex_index(d)].min(axis=1)
         nv = norm(cx, d, vals)
         u.append(Cochain(d, vals / nv if nv > 0 else vals))
     u = tuple(u)
@@ -259,11 +259,11 @@ def test_criterion_5_divergence_cutoffs_and_step3():
     totals = []
     for N in (2, 4, 8):
         chi, info = divergence_cutoffs(layers, xi, N, 1000)
-        for v in layers.layer_of:
+        for v, layer in zip(layers.vertices, layers.layer.tolist()):
             val = chi.get(v, 0.0)
-            if layers.layer_of[v] <= N and val != 1.0:
+            if layer <= N and val != 1.0:
                 plateau_ok = False
-            if val != info["layer_profile"][layers.layer_of[v]]:
+            if val != info["layer_profile"][layer]:
                 layer_const_ok = False
         rep = step3_estimate(cx, layers, chi, u, info["tail_sum"], N)
         totals.append(math.sqrt(math.fsum(r ** 2 for r in rep.remainder_norms)))
@@ -277,12 +277,12 @@ def test_criterion_5_divergence_cutoffs_and_step3():
 def test_criterion_6_hodge_oracle_equivalence():
     """Betti numbers agree with brute-force boundary ranks on every desk-scale
     example; the Euler identity holds exactly."""
-    K3 = build_clique_complex(unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 2)
+    K3 = build_clique_complex(*unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 2)
     examples = [
         ("K3_filled", K3),
         ("K3_hollow", drop_simplices(K3, 2, lambda s: False)),
         ("four_cycle", build_clique_complex(
-            unit_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]), 2)),
+            *unit_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]), 2)),
         ("tree", gen_truncated_tree(2, 5)),
         ("offspring-tree", offspring_tree_family(2, 4)),
         ("lattice", gen_lattice(2, 2, 3)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hodgelab import Cochain, WeightedGraph, build_clique_complex, drop_simplices, induced_subcomplex
+from hodgelab import Cochain, build_clique_complex, drop_simplices, induced_subcomplex
 from hodgelab.complexes import reweighted
 from hodgelab.chi import (
     BOUNDED_ON_RANGE,
@@ -43,18 +43,18 @@ def line(radius=10):
 def test_ball_exhaustion_line():
     cx = line(10)
     exh = make_ball_exhaustion(cx, {(0,)}, 5)
-    assert exh.set_at(3) == {(k,) for k in range(-3, 4)}
+    assert {v for v, d in zip(exh.vertices, exh.layer.tolist()) if 0 <= d <= 3} == {(k,) for k in range(-3, 4)}
 
 
 def test_ball_exhaustion_k3(K3):
     exh = make_ball_exhaustion(K3, {"a"}, 2)
-    assert exh.set_at(1) == {"a", "b", "c"}
+    assert exh.vertices == ["a", "b", "c"] and exh.layer.tolist() == [0, 1, 1]
 
 
 def test_ball_exhaustion_binary_tree_count():
     cx = gen_truncated_tree(1, 5)
     exh = make_ball_exhaustion(cx, {()}, 3)
-    assert len(exh.set_at(2)) == 7  # 1 + 2 + 4 by breadth-first count
+    assert np.count_nonzero((exh.layer >= 0) & (exh.layer <= 2)) == 7  # 1 + 2 + 4 by breadth-first count
 
 
 def test_plateau_cutoff_linear():
@@ -118,7 +118,7 @@ def weighted_complexes_with_cutoffs(draw):
     exhaustion from random roots, a plateau index k and a ramp: linear of
     integer or float width, or divergence-budgeted.  In half the cases no
     edge crosses a cut below which every root lies, so that the exhaustion
-    leaves vertices out."""
+    leaves vertices out.  Drawn as ``(cx, chi, exh, k, ramp, roots)``."""
     n_vertices = draw(st.integers(2, 9))
     pairs = list(itertools.combinations(range(n_vertices), 2))
     # two edges in three on average, so that tetrahedra are common
@@ -126,8 +126,7 @@ def weighted_complexes_with_cutoffs(draw):
                          max_size=len(pairs)))
     cut = draw(st.integers(1, n_vertices - 1)) if draw(st.booleans()) else n_vertices
     edges = [(u, v) for (u, v), k in zip(pairs, keep) if k and (v < cut or u >= cut)]
-    graph = WeightedGraph({v: 1.0 for v in range(n_vertices)}, {e: 1.0 for e in edges})
-    cx = build_clique_complex(graph, draw(st.integers(2, 3)))
+    cx = build_clique_complex({v: 1.0 for v in range(n_vertices)}, {e: 1.0 for e in edges}, draw(st.integers(2, 3)))
     round_values = draw(st.booleans())
     weight = st.sampled_from([0.5, 1.0, 2.0]) if round_values else st.floats(0.1, 10.0)
     value = st.sampled_from([0.0, 0.5, 1.0]) if round_values else st.floats(0.0, 1.0)
@@ -135,14 +134,15 @@ def weighted_complexes_with_cutoffs(draw):
     values = draw(st.lists(st.none() | value,
                            min_size=n_vertices, max_size=n_vertices))
     chi = {v: x for v, x in enumerate(values) if x is not None}
-    exh = make_ball_exhaustion(cx, draw(st.sets(st.integers(0, cut - 1), min_size=1)), n_vertices)
+    roots = draw(st.sets(st.integers(0, cut - 1), min_size=1))
+    exh = make_ball_exhaustion(cx, roots, n_vertices)
     k = draw(st.integers(0, 4))
     ramp = draw(st.one_of(
         st.integers(1, 4).map(lambda w: ("linear", w)),
         st.floats(0.1, 5.0).map(lambda w: ("linear", w)),
         st.builds(lambda xis, h: ("divergence", lambda j: xis[j % len(xis)], k + h),
                   st.lists(st.floats(0.5, 100.0), min_size=1, max_size=5), st.integers(1, 10))))
-    return cx, chi, exh, k, ramp
+    return cx, chi, exh, k, ramp, roots
 
 
 @given(weighted_complexes_with_cutoffs())
@@ -169,8 +169,8 @@ def _scalar_cutoff(d, k, ramp, top):
 
 @given(weighted_complexes_with_cutoffs())
 def test_cutoff_arrays_equal_the_scalar_formula(case):
-    cx, chi, exh, k, ramp = case
-    dist = bfs_distances(cx.simplices, exh.roots)
+    cx, chi, exh, k, ramp, roots = case
+    dist = bfs_distances(cx.simplices, roots)
     want = [_scalar_cutoff(dist.get(v), k, ramp, max(dist.values())) for v in cx.topology.vertices]
     got = make_cutoff_system(cx, exh, [k], ramp).chi(k)
     assert got.tolist() == want
@@ -194,7 +194,7 @@ def test_energy_rows_are_the_energy_functional_bit_for_bit(case, data):
     against one ``energy_functional`` call per k: the drawn k lists repeat a k
     and are often unsorted, and half the exhaustions are arbitrary layer
     arrays, so a coface can span layers far apart or a vertex without one."""
-    cx, _, exh, _, ramp = case
+    cx, _, exh, _, ramp, _ = case
     if data.draw(st.booleans()):
         n = len(cx.topology.vertices)
         exh = Exhaustion(cx.topology.vertices, data.draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)))
@@ -248,7 +248,7 @@ def test_vertex_function_of_the_wrong_length_is_refused(K4):
 def test_cutoff_system_of_another_vertex_table_is_refused():
     from conftest import unit_graph
 
-    path = lambda labels: build_clique_complex(unit_graph(labels, list(zip(labels, labels[1:]))), 1)
+    path = lambda labels: build_clique_complex(*unit_graph(labels, list(zip(labels, labels[1:]))), 1)
     cx, other = path("abcd"), path("wxyz")
     cutoffs = make_cutoff_system(cx, make_ball_exhaustion(cx, {"a"}, 3), [0, 1])
     assert check_global_chi(path("abcd"), cutoffs).table == check_global_chi(cx, cutoffs).table
@@ -342,7 +342,7 @@ def test_coupling_block_disjoint_components():
     from conftest import unit_graph
     from hodgelab import build_clique_complex
 
-    cx = build_clique_complex(unit_graph("abcd", [("a", "b"), ("c", "d")]), 1)
+    cx = build_clique_complex(*unit_graph("abcd", [("a", "b"), ("c", "d")]), 1)
     rep = coupling_block(cx, {"a", "b"})
     assert rep.rank == 0
     assert rep.cross_simplices == 0

@@ -201,7 +201,7 @@ def test_spectrum_k3_values(tmp_path, capsys):
     from hodgelab import build_clique_complex
     from hodgelab.complexes import complex_to_json
 
-    K3 = build_clique_complex(unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 2)
+    K3 = build_clique_complex(*unit_graph("abc", [("a", "b"), ("a", "c"), ("b", "c")]), 2)
     cx_path = tmp_path / "k3.json"
     cx_path.write_text(json.dumps(complex_to_json(K3)))
     code, out, _ = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0",
@@ -503,6 +503,16 @@ def test_malformed_roots_are_refused(tmp_path, capsys, command, roots, message):
     assert err.strip() == message
 
 
+@pytest.mark.parametrize("command", [["chi", "--ramp", "divergence"], ["divergence", "--layers", "distance"]])
+def test_vertices_unreachable_from_the_roots_are_refused_alike(tmp_path, capsys, command):
+    cx_path = tmp_path / "split.json"
+    cx_path.write_text(json.dumps({"vertices": [{"id": v, "m0": 1.0} for v in "abcd"], "max_degree": 1,
+                                   "edges": [{"u": "a", "v": "b", "m1": 1.0}, {"u": "c", "v": "d", "m1": 1.0}]}))
+    code, _, err = run(capsys, *command, "--input", str(cx_path), "--k-range", "0..1")
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: 2 vertices unreachable from roots"
+
+
 def _without_weights(doc):
     return {k: v for k, v in doc.items() if k != "weights"}
 
@@ -566,6 +576,8 @@ def _with_id(doc, vertex=None, simplex=None):
     (_with_id(k3_description(), vertex={"x": 1}), "vertex {'x': 1}"),
     (_with_id(k3_description(), vertex=["c", {"x": 1}]), "vertex ('c', {'x': 1})"),
     (_with_id(k3_description(), simplex=["a", "b", {"x": 1}]), "degree-2 simplex ('a', 'b', {'x': 1})"),
+    (dict(k3_description(), edges=[{"u": "a", "v": "b", "m1": 1.0}, {"u": "b", "v": ["c", {"x": 1}], "m1": 1.0}]),
+     "edge ('b',('c', {'x': 1}))"),
 ])
 def test_unhashable_ids_are_refused(tmp_path, capsys, doc, message):
     cx_path = tmp_path / "k3.json"
@@ -680,6 +692,32 @@ def test_an_edge_listed_both_ways_loads_once_or_is_refused(tmp_path, capsys, wei
     else:
         assert_one_line_error(code, err)
         assert err.strip() == f"error: {message}"
+
+
+def test_non_cliques_whose_ids_do_not_compare_are_named_in_list_order(tmp_path, capsys):
+    doc = k3_description()
+    doc["weights"]["2"] = [{"simplex": [0, 1, "a"], "m": 1}, {"simplex": [0, 1, [2]], "m": 1}]
+    cx_path = tmp_path / "k3.json"
+    cx_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "spectrum", "--input", str(cx_path), "--degree", "0")
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: degree-2 weights reference non-cliques: [(0, 1, 'a'), (0, 1, (2,))]"
+
+
+@pytest.mark.parametrize("argv", [["assemble", "--kind", "laplacian_block", "--degree", "1"],
+                                  ["hodge", "--degree", "1"],
+                                  ["divergence", "--layers", "depth", "--k-range", "0..2"]])
+def test_commands_that_read_by_position_build_no_label_lookups(tmp_path, monkeypatch, capsys, argv):
+    """The loaded complex of these commands builds neither its label tuples
+    nor its label-to-position map."""
+    cx_path = tmp_path / "tree.json"
+    run(capsys, "generate", "--kind", "offspring-tree", "--off", "n^2", "--depth", "3", "--output", str(cx_path))
+    load, loaded = cli._load_complex, []
+    monkeypatch.setattr(cli, "_load_complex", lambda path: loaded.append(load(path)) or loaded[-1])
+    code, _, _ = run(capsys, *argv, "--input", str(cx_path))
+    assert code == 0
+    (cx,) = loaded
+    assert cx.topology._simplices is None and "_position" not in vars(cx.topology)
 
 
 # strings that stress the emitter: quotes, backslash runs, the structural

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodgelab import (
-    WeightedGraph,
     build_clique_complex,
     canonical_sign,
     complex_from_json,
@@ -76,7 +75,7 @@ def test_counts_match_bruteforce_random_graphs(seed):
     rng = np.random.default_rng(seed)
     vs = list(range(10))
     edges = [(u, v) for u, v in itertools.combinations(vs, 2) if rng.random() < 0.4]
-    cx = build_clique_complex(unit_graph(vs, edges), 3)
+    cx = build_clique_complex(*unit_graph(vs, edges), 3)
     assert cx.counts() == clique_counts(vs, edges, 3)
     verify_face_closure(cx)
     verify_clique_soundness(cx)
@@ -121,12 +120,12 @@ def test_canonical_sign_roundtrip(K4):
 
 def test_loops_rejected():
     with pytest.raises(ValueError):
-        WeightedGraph({"a": 1.0}, {("a", "a"): 1.0})
+        build_clique_complex({"a": 1.0}, {("a", "a"): 1.0}, 1)
 
 
 def test_nonpositive_weights_rejected(K3):
     with pytest.raises(ValueError):
-        WeightedGraph({"a": 0.0, "b": 1.0}, {("a", "b"): 1.0})
+        build_clique_complex({"a": 0.0, "b": 1.0}, {("a", "b"): 1.0}, 1)
     with pytest.raises(ValueError):
         reweighted(K3, [K3.weights[0], K3.weights[1], [0.0]])
 
@@ -212,6 +211,30 @@ def test_listed_edge_off_the_kept_vertices_is_refused(listed, unknown):
     assert str(err.value) == f"degree-1 weights reference non-cliques: {unknown}"
 
 
+@pytest.mark.parametrize("m0,edges,message", [
+    ({"a": 1.0, 1: 1.0}, [("a", 1, 1.0)], "vertex ids must be mutually comparable (e.g. not mixed int and str)"),
+    ({"a": 1.0, "b": 1.0}, [("a", "b", 1.0), ("b", "b", 1.0)], "loop at 'b' not allowed"),
+    ({"a": 1.0, "b": 1.0}, [("a", "b", 1.0), ("a", "c", 1.0)], "edge ('a','c') references unknown vertex"),
+    ({"a": 1.0, "b": 1.0}, [("a", "b", 1.0), ("b", "a", 2.0)], "asymmetric weight for edge ('a', 'b')"),
+    ({"a": 1.0, "b": 1.0}, [("a", "b", 1.0), ("b", "a", 1.0)], None),
+], ids=["mixed-ids", "loop", "unknown-vertex", "reversed-repeat", "equal-repeat"])
+def test_the_builder_and_the_loader_refuse_a_bad_graph_alike(m0, edges, message):
+    """``build_clique_complex`` and ``complex_from_json`` check a graph by one
+    function: each bad graph is refused with the same message, and an edge
+    listed again with its weight is kept once."""
+    doc = {"vertices": [{"id": v, "m0": w} for v, w in m0.items()],
+           "edges": [{"u": u, "v": v, "m1": w} for u, v, w in edges], "max_degree": 1}
+    for load in (lambda: build_clique_complex(m0, {(u, v): w for u, v, w in edges}, 1),
+                 lambda: complex_from_json(doc)):
+        if message is None:
+            cx = load()
+            assert cx.simplices[1] == [("a", "b")] and cx.weights[1].tolist() == [1.0]
+        else:
+            with pytest.raises(ValueError) as err:
+                load()
+            assert str(err.value) == message
+
+
 def test_json_default_weights_are_one():
     doc = {
         "vertices": [{"id": v, "m0": 1.0} for v in "abc"],
@@ -242,9 +265,9 @@ def test_description_weights_must_be_finite_and_positive(field, name, bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_graph_and_rule_weights_must_be_finite(K3, bad):
     with pytest.raises(ValueError, match=re.escape("m0('a')")):
-        WeightedGraph({"a": bad, "b": 1.0}, {("a", "b"): 1.0})
+        build_clique_complex({"a": bad, "b": 1.0}, {("a", "b"): 1.0}, 1)
     with pytest.raises(ValueError, match=re.escape("m1('a','b')")):
-        WeightedGraph({"a": 1.0, "b": 1.0}, {("a", "b"): bad})
+        build_clique_complex({"a": 1.0, "b": 1.0}, {("a", "b"): bad}, 1)
     with pytest.raises(ValueError, match=re.escape("('a', 'b', 'c')")):
         reweighted(K3, [K3.weights[0], K3.weights[1], [bad]])
 
@@ -260,9 +283,7 @@ def test_reweighted_refuses_weights_not_finite_and_positive(K3, degree, simplex,
 
 
 def test_zero_edge_weight_means_no_edge():
-    g = WeightedGraph({"a": 1.0, "b": 1.0, "c": 1.0}, {("a", "b"): 0.0, ("b", "c"): 2.0})
-    assert g.m1 == {("b", "c"): 2.0}
-    cx = build_clique_complex(g, 1)
+    cx = build_clique_complex({"a": 1.0, "b": 1.0, "c": 1.0}, {("a", "b"): 0.0, ("b", "c"): 2.0}, 1)
     assert cx.topology.vertex_index(1).tolist() == [[1, 2]]
     assert cx.simplices[1] == [("b", "c")] and cx.weights[1].tolist() == [2.0]
 
@@ -282,7 +303,7 @@ def weighted_graph_complexes(draw, sparse=False):
     weight = st.floats(0.1, 10.0)
     m0 = {v: draw(weight) for v in labels}
     m1 = {p: draw(weight) for p, k in zip(pairs, keep) if k}
-    cx = build_clique_complex(WeightedGraph(m0, m1), draw(st.integers(1, 4)))
+    cx = build_clique_complex(m0, m1, draw(st.integers(1, 4)))
     upper = [draw(st.lists(weight, min_size=size, max_size=size)) for size in cx.counts()[2:]]
     return labels, list(m1), reweighted(cx, list(cx.weights[:2]) + upper)
 
@@ -375,9 +396,8 @@ def test_topology_arrays_match_oracles(graph, data):
     drawn = data.draw(st.lists(st.integers(-1, 3), min_size=len(vertex_pos), max_size=len(vertex_pos)))
     layers = LayerDecomposition(top.vertices, drawn)
     layer_of = {v: k for v, k in zip(vertex_pos, drawn) if k >= 0}
-    assert layers.layer_of == layer_of and list(layers.excluded) == [v for v in vertex_pos if v not in layer_of]
+    assert layers.layer.tolist() == drawn and list(layers.excluded) == [v for v in vertex_pos if v not in layer_of]
     assert layers.num_layers() == max(layer_of.values(), default=-1) + 1
-    assert layers.layers == [[v for v in vertex_pos if layer_of.get(v) == k] for k in range(layers.num_layers())]
     table = growth_table(cx, layers, range(-1, 6))
     sups = [growth_sups(tables, layer_of, g) for g in range(cx.max_degree)]
     for k, (xi, breakdown) in table.items():
@@ -509,7 +529,7 @@ def test_betti_of_a_graph_core_takes_no_rank(monkeypatch):
     shapes = _recorded_ranks(monkeypatch)
     assert cx.topology.betti == (1, 72, 0)
     assert shapes == []
-    graph = build_clique_complex(unit_graph("abcdefg", [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")]), 2)
+    graph = build_clique_complex(*unit_graph("abcdefg", [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")]), 2)
     hollow = drop_simplices(graph, 2, lambda s: False)
     assert graph.topology.betti == (4, 0, 0) and hollow.topology.betti == (4, 1, 0)
     assert shapes == []
@@ -566,7 +586,7 @@ def test_nested_list_ids_decode_to_nested_tuples():
     decodes to a tuple."""
     vertices = [((0, 1), 2), ((0, 1), 3), ((0, 2), (4, (5, "a")))]
     edges = list(itertools.combinations(vertices, 2))
-    cx = build_clique_complex(WeightedGraph({v: 1.0 for v in vertices}, {e: 1.0 for e in edges}), 2)
+    cx = build_clique_complex({v: 1.0 for v in vertices}, {e: 1.0 for e in edges}, 2)
     doc = json.loads(json.dumps(complex_to_json(cx)))
     assert doc["vertices"][0]["id"] == [[0, 1], 2]
     back = complex_from_json(doc)
@@ -599,7 +619,7 @@ def _clique_and_kept_load(doc):
     weights, or the message of the non-clique refusal."""
     m0 = {_decode_vertex(v["id"]): v["m0"] for v in doc["vertices"]}
     m1 = {(_decode_vertex(e["u"]), _decode_vertex(e["v"])): e["m1"] for e in doc["edges"]}
-    cx = build_clique_complex(WeightedGraph(m0, m1), doc["max_degree"])
+    cx = build_clique_complex(m0, m1, doc["max_degree"])
     rule = doc.get("weight_rule")
     if rule:
         cx = radial_weighting(cx, [_decode_vertex(v) for v in rule["base"]], float(rule["alpha"]))
@@ -633,7 +653,7 @@ def test_descriptions_match_the_label_tuple_encoder_and_the_clique_and_kept_load
     label = _ID_KINDS[ids]
     m0 = {label(v): w for (v,), w in zip(drawn.simplices[0], drawn.weights[0].tolist())}
     m1 = {(label(u), label(v)): w for (u, v), w in zip(drawn.simplices[1], drawn.weights[1].tolist())}
-    cx = reweighted(build_clique_complex(WeightedGraph(m0, m1), drawn.max_degree), drawn.weights,
+    cx = reweighted(build_clique_complex(m0, m1, drawn.max_degree), drawn.weights,
                     meta={"ids": ids, "opaque": object()})
     top = cx.topology
     base = [top.vertices[k] for k in np.unique(top.components, return_index=True)[1]]

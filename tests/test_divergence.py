@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hodgelab import WeightedGraph, build_clique_complex
+from hodgelab import build_clique_complex
 from hodgelab.chi import Exhaustion, make_ball_exhaustion, make_plateau_cutoff
 from hodgelab.divergence import (
     LayerDecomposition,
@@ -69,10 +69,10 @@ def test_divergence_cutoffs_are_the_divergence_ramp_cutoff(graph, data):
 
 def test_depth_layers_refuse_ids_without_a_length(K3):
     # string and tuple ids keep their word lengths as layers
-    assert layers_by_depth(K3).layer_of == {"a": 1, "b": 1, "c": 1}
+    assert layers_by_depth(K3).layer.tolist() == [1, 1, 1]
     tree = offspring_tree_family(2, 3)
-    assert layers_by_depth(tree).layer_of == {v: len(v) for v in tree.topology.vertices}
-    numbered = build_clique_complex(WeightedGraph({0: 1.0, 1: 1.0, 2: 1.0}, {(0, 1): 1.0, (1, 2): 1.0}), 1)
+    assert layers_by_depth(tree).layer.tolist() == [len(v) for v in tree.topology.vertices]
+    numbered = build_clique_complex({0: 1.0, 1: 1.0, 2: 1.0}, {(0, 1): 1.0, (1, 2): 1.0}, 1)
     with pytest.raises(ValueError, match="vertex 0 has no length"):
         layers_by_depth(numbered)
 
@@ -235,7 +235,7 @@ def _layer_damped_cochains(cx, layers, seed=0):
     out = []
     for d in range(cx.max_degree + 1):
         vals = rng.standard_normal(cx.size(d))
-        damp = np.array([0.25 ** min(layers.layer_of[v] for v in s) for s in cx.simplices[d]])
+        damp = 0.25 ** layers.layer[cx.topology.vertex_index(d)].min(axis=1)
         vals *= damp
         nv = norm(cx, d, vals)
         out.append(Cochain(d, vals / nv if nv > 0 else vals))

@@ -97,10 +97,10 @@ def test_complex_scalars_supported(K3):
 
 def test_exhaustion_reports_excluded_components():
     g = unit_graph("abcd", [("a", "b"), ("c", "d")])
-    cx = build_clique_complex(g, 1)
+    cx = build_clique_complex(*g, 1)
     exh = make_ball_exhaustion(cx, {"a"}, 3)
     assert set(exh.excluded) == {"c", "d"}
-    assert exh.set_at(3) == {"a", "b"}
+    assert exh.layer.tolist() == [0, 1, -1, -1]  # a, b, c, d
 
 
 def test_json_radial_weight_rule():

@@ -40,11 +40,11 @@ def test_spectrum_k3(K3):
 
 
 def test_spectrum_single_vertex():
-    cx = build_clique_complex(unit_graph("ab", [("a", "b")]), 1)
+    cx = build_clique_complex(*unit_graph("ab", [("a", "b")]), 1)
     sub = drop_simplices(cx, 1, lambda s: False)
     rep = spectrum(sub, 0, how_many=2)
     assert np.allclose(np.repeat(rep.eigenvalues, rep.multiplicities), [0.0, 0.0], atol=1e-12)
-    lone = build_clique_complex(unit_graph("a", []), 1)
+    lone = build_clique_complex(*unit_graph("a", []), 1)
     rep = spectrum(lone, 0, how_many=1)
     assert rep.eigenvalues == [0.0]
     assert spectrum(lone, 1).method == "empty"
@@ -59,7 +59,7 @@ def test_spectrum_four_cycle_harmonic(four_cycle):
 
 @pytest.mark.parametrize("make,degree,beta", [
     (lambda: gen_alternating_triangulation(6), 1, 72),  # 384 rows, iterative
-    (lambda: drop_simplices(build_clique_complex(unit_graph("abcd", list(itertools.combinations("abcd", 2))), 3),
+    (lambda: drop_simplices(build_clique_complex(*unit_graph("abcd", list(itertools.combinations("abcd", 2))), 3),
                             3, lambda s: False), 2, 1),  # the hollow tetrahedron, dense
 ], ids=["alternating", "hollow-tetrahedron"])
 def test_spectrum_writes_the_counted_zeros_as_zero(make, degree, beta):
@@ -524,7 +524,7 @@ def test_kernel_probe_lower_bound(K3, K4, four_cycle):
 
 def test_kernel_probe_zero_block():
     # two isolated-ish vertices at degree 0 with no edges: L_0 = 0
-    cx = build_clique_complex(unit_graph("ab", [("a", "b")]), 1)
+    cx = build_clique_complex(*unit_graph("ab", [("a", "b")]), 1)
     hollow = drop_simplices(cx, 1, lambda s: False)
     assert kernel_probe(hollow, 0, 1j) == 1.0
     with pytest.raises(ValueError):
